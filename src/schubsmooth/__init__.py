@@ -8,16 +8,17 @@ functions.  See the README for the command-line interface.
 
 from .affine import (
     AffinePermutation,
+    ball_levels,
     bruhat_leq,
     bruhat_lower_interval,
     coset_decompose,
     coset_decompose_left,
+    cycle_runs,
     from_window,
     from_word,
     identity,
     longest_element,
     longest_length,
-    multiply,
     poincare_polynomial,
     simple_reflection,
 )
@@ -30,12 +31,13 @@ from .bp import (
     is_bp,
     is_smooth_partial,
 )
-from .errors import BudgetExceeded, CapExceeded, MalformedDiagram, NotSmooth
-from .poly import Polynomial, is_palindromic
+from .errors import BudgetExceeded, MalformedDiagram, NotSmooth
+from .poly import Polynomial
 from .series import (
-    FORMULA,
+    D_FACTORS,
+    P_FACTORS,
+    Q_FACTORS,
     IntSeries,
-    SeriesFormula,
     alpha,
     asymptotic_check,
     catalan,

@@ -26,9 +26,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceeded
+from .errors import BudgetExceeded
 from .poly import Polynomial
 
 
@@ -181,11 +181,6 @@ def simple_reflection(n: int, i: int) -> AffinePermutation:
     return identity(n).times_s(i)
 
 
-def multiply(a: AffinePermutation, b: AffinePermutation) -> AffinePermutation:
-    """Function form of a * b (b applied first)."""
-    return a * b
-
-
 def from_word(n: int, word: Iterable[int]) -> AffinePermutation:
     """Product s_{i_1} * s_{i_2} * ... for word = [i_1, i_2, ...].
 
@@ -200,24 +195,49 @@ def from_word(n: int, word: Iterable[int]) -> AffinePermutation:
     return w
 
 
-def _cycle_components(n: int, subset: frozenset[int]) -> list[list[int]]:
-    """Connected components of a vertex subset of the n-cycle, each listed
-    in consecutive order.  The full cycle is a single component."""
-    if len(subset) == n:
-        return [list(range(n))]
-    comps = []
-    seen: set[int] = set()
-    for start in sorted(subset):
-        if start in seen or (start - 1) % n in subset:
+def ball_levels(n: int) -> Iterator[frozenset[AffinePermutation]]:
+    """The elements of length 0, 1, 2, ... of the affine symmetric group of
+    period n, one set per length, without end.
+
+    Every element of length l + 1 is w * s_i for some w of length l with i
+    not a right descent of w, so each level comes from the one before it.
+
+    >>> levels = ball_levels(3)
+    >>> [len(next(levels)) for _ in range(4)]
+    [1, 3, 6, 9]
+    """
+    level = frozenset({identity(n)})
+    while True:
+        yield level
+        level = frozenset(w.times_s(i) for w in level for i in range(n) if i not in w.right_descents)
+
+
+def cycle_runs(n: int, subset: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """Maximal runs of consecutive vertices of a subset of the n-cycle 0..n-1.
+
+    Each run is listed in cyclic order, wrap-around included, and the runs
+    are sorted by first vertex; the full cycle is the single run (0..n-1).
+    A path on 1..n is the (n+1)-cycle with vertex 0 absent.
+
+    >>> cycle_runs(6, {0, 1, 3, 5})
+    ((3,), (5, 0, 1))
+    >>> cycle_runs(3, {0, 1, 2})
+    ((0, 1, 2),)
+    """
+    vs = subset if isinstance(subset, (set, frozenset)) else set(subset)
+    if len(vs) == n:
+        return (tuple(range(n)),)
+    runs = []
+    for start in sorted(vs):
+        if (start - 1) % n in vs:
             continue
-        comp = []
-        v = start
-        while v in subset:
-            comp.append(v)
-            seen.add(v)
+        run = [start]
+        v = (start + 1) % n
+        while v in vs:
+            run.append(v)
             v = (v + 1) % n
-        comps.append(comp)
-    return comps
+        runs.append(tuple(run))
+    return tuple(runs)
 
 
 def longest_length(n: int, subset: Iterable[int]) -> int:
@@ -229,7 +249,7 @@ def longest_length(n: int, subset: Iterable[int]) -> int:
     sub = frozenset(subset)
     if len(sub) >= n:
         raise ValueError("subset must be proper: the full cycle generates an infinite group")
-    return sum(len(c) * (len(c) + 1) // 2 for c in _cycle_components(n, sub))
+    return sum(len(c) * (len(c) + 1) // 2 for c in cycle_runs(n, sub))
 
 
 def longest_element(n: int, subset: Iterable[int]) -> AffinePermutation:
@@ -246,7 +266,7 @@ def longest_element(n: int, subset: Iterable[int]) -> AffinePermutation:
     if len(sub) >= n:
         raise ValueError("subset must be proper: the full cycle generates an infinite group")
     word: list[int] = []
-    for comp in _cycle_components(n, sub):
+    for comp in cycle_runs(n, sub):
         # standard longest word of type A on consecutive nodes v1..vm:
         # v1, v2 v1, v3 v2 v1, ...
         for k in range(len(comp)):
@@ -311,7 +331,7 @@ def bruhat_leq(x: AffinePermutation, w: AffinePermutation) -> bool:
 @lru_cache(maxsize=None)
 def _lower_interval(w: AffinePermutation, cap: int) -> frozenset[AffinePermutation]:
     if w.length > cap:
-        raise CapExceeded(f"interval of an element of length {w.length} exceeds cap {cap}")
+        raise BudgetExceeded(f"interval of an element of length {w.length} exceeds cap {cap}")
     elems: set[AffinePermutation] = {identity(w.n)}
     for i in w.reduced_word:
         extra = set()

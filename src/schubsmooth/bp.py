@@ -27,6 +27,7 @@ from typing import Iterable, Optional
 from .affine import (
     AffinePermutation,
     coset_decompose,
+    cycle_runs,
     longest_element,
     longest_length,
     poincare_polynomial,
@@ -189,19 +190,6 @@ class GrassmannianLabel:
     m: int
 
 
-def _linearize_interval(n: int, nodes: frozenset[int]) -> tuple[int, ...]:
-    """List a proper connected cycle subset in consecutive order."""
-    start = next(v for v in sorted(nodes) if (v - 1) % n not in nodes)
-    out = []
-    v = start
-    while v in nodes:
-        out.append(v)
-        v = (v + 1) % n
-    if len(out) != len(nodes):
-        raise ValueError(f"nodes {sorted(nodes)} are not a connected interval")
-    return tuple(out)
-
-
 def fibre_tower(
     w: AffinePermutation, J: Iterable[int] = (), cap: int = 16
 ) -> tuple[GrassmannianLabel, ...]:
@@ -220,7 +208,7 @@ def fibre_tower(
     labels = []
     for i, v in enumerate(decomp.factors):
         missing = next(iter(decomp.chain[i] - decomp.chain[i + 1]))
-        nodes = _linearize_interval(w.n, v.support)
+        (nodes,) = cycle_runs(w.n, v.support)
         a = nodes.index(missing) + 1
         labels.append(GrassmannianLabel(nodes=nodes, missing=missing, a=a, m=len(nodes) + 1))
     return tuple(labels)

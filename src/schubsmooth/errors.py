@@ -1,12 +1,8 @@
 """Shared exception types."""
 
 
-class CapExceeded(RuntimeError):
-    """An interval-style operation was asked to exceed its configured length cap."""
-
-
 class BudgetExceeded(RuntimeError):
-    """An enumeration exceeded its length or time budget before its stop rule fired."""
+    """A computation would exceed its size cap, or its length or time budget."""
 
 
 class MalformedDiagram(ValueError):

@@ -99,14 +99,3 @@ class Polynomial:
             else:
                 parts.append(f"{c}*q^{k}" if c != 1 else f"q^{k}")
         return " + ".join(parts)
-
-
-def is_palindromic(p: Polynomial) -> bool:
-    """Function form of Polynomial.is_palindromic.
-
-    >>> is_palindromic(Polynomial.of(1, 2, 1))
-    True
-    >>> is_palindromic(Polynomial.of(1, 2))
-    False
-    """
-    return p.is_palindromic()

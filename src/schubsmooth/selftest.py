@@ -10,12 +10,13 @@ worker processes cannot change any verdict.
 
 from __future__ import annotations
 
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
-from .affine import identity, poincare_polynomial
+from .affine import ball_levels, poincare_polynomial
 from .bp import complete_bp_decomposition, find_grassmannian_bp
 from .errors import NotSmooth
 from .series import (
@@ -191,20 +192,9 @@ def criterion_8(scale: str = "full") -> tuple[bool, str]:
 def criterion_9(scale: str = "full") -> tuple[bool, str]:
     """Palindromic Poincaré polynomial == smooth or twisted spiral (n = 3)."""
     len_top = _cap(scale, 10)
-    n = 3
-    level = {identity(n)}
-    seen = set(level)
     checked, ok = 0, True
-    for _ in range(len_top):
-        nxt = set()
+    for level in itertools.islice(ball_levels(3), 1, len_top + 1):
         for w in level:
-            for i in range(n):
-                x = w.times_s(i)
-                if x.length == w.length + 1 and x not in seen:
-                    nxt.add(x)
-        seen |= nxt
-        level = nxt
-        for w in nxt:
             pal = poincare_polynomial(w).is_palindromic()
             if pal != (is_smooth(w) or is_twisted_spiral(w)):
                 ok = False

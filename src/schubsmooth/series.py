@@ -271,52 +271,38 @@ def _polyseries(order: int, *factors: Iterable[int]) -> IntSeries:
     return out
 
 
-@dataclass(frozen=True)
-class SeriesFormula:
-    """The fixed polynomials of the closed form A = (P - Q·sqrt(1-4t)) / D,
-    stored in factored form:
-
-        P = (1-4t)(2-11t+18t²-16t³+10t⁴-4t⁵)
-        Q = (1-t)(2-t)(1-6t+6t²)
-        D = (1-t)(1-4t)(1-6t+8t²-4t³).
-
-    >>> FORMULA.P(3).coeffs
-    (2, -19, 62, -88)
-    >>> FORMULA.Q(3).coeffs
-    (2, -15, 31, -24)
-    >>> FORMULA.D(3).coeffs
-    (1, -11, 42, -68)
-    """
-
-    p_factors: tuple[tuple[int, ...], ...] = ((1, -4), (2, -11, 18, -16, 10, -4))
-    q_factors: tuple[tuple[int, ...], ...] = ((1, -1), (2, -1), (1, -6, 6))
-    d_factors: tuple[tuple[int, ...], ...] = ((1, -1), (1, -4), (1, -6, 8, -4))
-
-    def P(self, order: int) -> IntSeries:
-        return _polyseries(order, *self.p_factors)
-
-    def Q(self, order: int) -> IntSeries:
-        return _polyseries(order, *self.q_factors)
-
-    def D(self, order: int) -> IntSeries:
-        return _polyseries(order, *self.d_factors)
-
-
-FORMULA = SeriesFormula()
+# The fixed polynomials P, Q, D of the closed form, in factored form.
+P_FACTORS: tuple[tuple[int, ...], ...] = ((1, -4), (2, -11, 18, -16, 10, -4))
+Q_FACTORS: tuple[tuple[int, ...], ...] = ((1, -1), (2, -1), (1, -6, 6))
+D_FACTORS: tuple[tuple[int, ...], ...] = ((1, -1), (1, -4), (1, -6, 8, -4))
 
 
 @lru_cache(maxsize=None)
 def series_A_closed(order: int) -> IntSeries:
     """Spherical cycle-diagram counts a_n from the closed form
-    (P - Q·sqrt(1-4t)) / D.
+    (P - Q·sqrt(1-4t)) / D, with the fixed polynomials
 
+        P = (1-4t)(2-11t+18t²-16t³+10t⁴-4t⁵)
+        Q = (1-t)(2-t)(1-6t+6t²)
+        D = (1-t)(1-4t)(1-6t+8t²-4t³)
+
+    stored as P_FACTORS, Q_FACTORS and D_FACTORS.
+
+    >>> _polyseries(3, *P_FACTORS).coeffs
+    (2, -19, 62, -88)
+    >>> _polyseries(3, *Q_FACTORS).coeffs
+    (2, -15, 31, -24)
+    >>> _polyseries(3, *D_FACTORS).coeffs
+    (1, -11, 42, -68)
     >>> series_A_closed(9).coeffs
     (0, 0, 5, 31, 173, 891, 4373, 20833, 97333, 448663)
     >>> series_A_closed(60) == series_A_assembled(60)
     True
     """
-    num = FORMULA.P(order) - FORMULA.Q(order) * sqrt_one_minus_4t(order)
-    return num / FORMULA.D(order)
+    p = _polyseries(order, *P_FACTORS)
+    q = _polyseries(order, *Q_FACTORS)
+    d = _polyseries(order, *D_FACTORS)
+    return (p - q * sqrt_one_minus_4t(order)) / d
 
 
 def alpha() -> float:

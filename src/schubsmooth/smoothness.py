@@ -20,7 +20,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .affine import AffinePermutation, coset_decompose, from_word, identity, longest_element, longest_length
+from .affine import (
+    AffinePermutation,
+    ball_levels,
+    coset_decompose,
+    from_word,
+    identity,
+    longest_element,
+    longest_length,
+)
 from .errors import BudgetExceeded
 
 PATTERN_3412: tuple[int, ...] = (3, 4, 1, 2)
@@ -196,8 +204,8 @@ def enumerate_smooth(
     cap = max_length if max_length is not None else 10 * n + 10
     deadline = time.monotonic() + budget_seconds if budget_seconds else None
 
-    level = {identity(n)}
-    found: set[AffinePermutation] = {identity(n)}
+    levels = ball_levels(n)
+    found: set[AffinePermutation] = set(next(levels))
     streak = 0
     length = 0
     while True:
@@ -210,13 +218,7 @@ def enumerate_smooth(
             )
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded(f"time budget exhausted at length {length}")
-        nxt: set[AffinePermutation] = set()
-        for w in level:
-            for i in range(n):
-                if i not in w.right_descents:
-                    nxt.add(w.times_s(i))
-        level = nxt
-        new = {w for w in level if is_smooth(w)}
+        new = {w for w in next(levels) if is_smooth(w)}
         if new:
             found |= new
             streak = 0

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .affine import AffinePermutation, identity, longest_element
+from .affine import AffinePermutation, cycle_runs, identity, longest_element
 from .errors import BudgetExceeded, MalformedDiagram
 
 INCREASING = "increasing"
@@ -83,54 +83,28 @@ class CoxGraph:
             return [(0, 1)]
         return [(i, (i + 1) % self.n) for i in range(self.n)]
 
+    def _runs(self, subset: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+        # a path on 1..n is the (n+1)-cycle with vertex 0 absent
+        return cycle_runs(self.n + 1 if self.kind == "path" else self.n, subset)
+
     def is_connected(self, subset: Iterable[int]) -> bool:
-        vs = set(subset)
-        if not vs:
-            return True
-        if self.kind == "path":
-            return max(vs) - min(vs) + 1 == len(vs)
-        if len(vs) == self.n:
-            return True
-        starts = [v for v in vs if (v - 1) % self.n not in vs]
-        return len(starts) == 1
+        return len(self._runs(subset)) <= 1
 
     def run_order(self, subset: Iterable[int]) -> tuple[int, ...]:
         """A connected subset listed in consecutive order (cyclic runs start
         at the vertex whose predecessor is outside).  Falls back to sorted
         order for disconnected sets."""
         vs = set(subset)
-        if not vs:
-            return ()
-        if self.kind == "path" or len(vs) == self.n:
-            return tuple(sorted(vs))
-        starts = [v for v in vs if (v - 1) % self.n not in vs]
-        if len(starts) != 1:
-            return tuple(sorted(vs))
-        out, v = [], starts[0]
-        while v in vs:
-            out.append(v)
-            v = (v + 1) % self.n
-        return tuple(out) if len(out) == len(vs) else tuple(sorted(vs))
+        runs = self._runs(vs)
+        return runs[0] if len(runs) == 1 else tuple(sorted(vs))
 
     def runs(self, subset: Iterable[int]) -> tuple[tuple[int, ...], ...]:
         """Maximal connected runs of a vertex subset, each in consecutive
         order; a full cycle is rejected (it has no run decomposition)."""
         vs = set(subset)
-        if not vs:
-            return ()
         if self.kind == "cycle" and len(vs) == self.n:
             raise ValueError("full cycle support has no run decomposition")
-        starts = sorted(v for v in vs if (v - 1) % self.n not in vs) if self.kind == "cycle" else sorted(
-            v for v in vs if v - 1 not in vs
-        )
-        out = []
-        for start in starts:
-            run, v = [], start
-            while v in vs:
-                run.append(v)
-                v = (v + 1) % self.n if self.kind == "cycle" else v + 1
-            out.append(tuple(run))
-        return tuple(out)
+        return self._runs(vs)
 
 
 def path_graph(n: int) -> CoxGraph:
@@ -945,13 +919,6 @@ def _cycle_fully_supported(n: int) -> tuple[StaircaseDiagram, ...]:
     return result
 
 
-def _place_on(
-    graph: CoxGraph, run: Sequence[int], local: StaircaseDiagram
-) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
-    blocks = [frozenset(run[v - 1] for v in b) for b in local.blocks]
-    return blocks, list(local.covers)
-
-
 def enumerate_diagrams(
     g: CoxGraph,
     spherical_only: bool = False,
@@ -1005,9 +972,8 @@ def _assemble_on_runs(g: CoxGraph, support: Sequence[int]) -> Iterator[Staircase
         covers: list[tuple[int, int]] = []
         for run, local in zip(runs, combo):
             base = len(blocks)
-            bl, cv = _place_on(g, run, local)
-            blocks.extend(bl)
-            covers.extend((base + i, base + j) for i, j in cv)
+            blocks.extend(frozenset(run[v - 1] for v in b) for b in local.blocks)
+            covers.extend((base + i, base + j) for i, j in local.covers)
         yield StaircaseDiagram(g, blocks, covers)
 
 

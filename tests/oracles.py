@@ -30,6 +30,23 @@ def ball(n: int, radius: int) -> frozenset[AffinePermutation]:
     return frozenset(seen)
 
 
+def components_by_adjacency(vertices, adjacent) -> frozenset[frozenset[int]]:
+    """Connected components of the graph on the given vertices with edges
+    given by the predicate adjacent(u, v), grown one neighbour at a time."""
+    left = set(vertices)
+    comps = []
+    while left:
+        comp = {left.pop()}
+        while True:
+            extra = {v for v in left if any(adjacent(u, v) for u in comp)}
+            if not extra:
+                break
+            comp |= extra
+            left -= extra
+        comps.append(frozenset(comp))
+    return frozenset(comps)
+
+
 def length_by_inversions(w: AffinePermutation) -> int:
     """Count pairs i < j with w(i) > w(j) and i in one window period.
 

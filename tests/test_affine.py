@@ -11,13 +11,15 @@ import random
 
 import pytest
 
-from oracles import ball, length_by_inversions, subword_lower_set
+from oracles import ball, components_by_adjacency, length_by_inversions, subword_lower_set
 from schubsmooth.affine import (
     AffinePermutation,
+    ball_levels,
     bruhat_leq,
     bruhat_lower_interval,
     coset_decompose,
     coset_decompose_left,
+    cycle_runs,
     from_window,
     from_word,
     identity,
@@ -26,7 +28,7 @@ from schubsmooth.affine import (
     poincare_polynomial,
     simple_reflection,
 )
-from schubsmooth.errors import CapExceeded
+from schubsmooth.errors import BudgetExceeded
 from schubsmooth.poly import Polynomial
 
 
@@ -215,7 +217,7 @@ def test_bruhat_lower_interval():
     assert len(interval) == poincare_polynomial(w)(1)
     restricted = bruhat_lower_interval(w, {1})
     assert restricted == frozenset(x for x in interval if 1 not in x.right_descents)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(BudgetExceeded):
         bruhat_lower_interval(longest_element(5, {1, 2, 3}), cap=3)
 
 
@@ -230,3 +232,33 @@ def test_poincare_polynomial_counts_interval_by_length():
     assert poincare_polynomial(longest_element(4, {1, 2})) == Polynomial.of(1, 2, 2, 1)
     with pytest.raises(ValueError):
         poincare_polynomial(longest_element(4, {1}), J={1})
+
+
+def test_cycle_runs_match_adjacency_oracle():
+    for n in range(2, 9):
+        # a path on 1..n is checked as the (n+1)-cycle with vertex 0 absent
+        for size, vertices in ((n, range(n)), (n + 1, range(1, n + 1))):
+            def adjacent(u, v):
+                return (u - v) % size in (1, size - 1)
+
+            for r in range(len(vertices) + 1):
+                for sub in itertools.combinations(vertices, r):
+                    runs = cycle_runs(size, set(sub))
+                    assert frozenset(map(frozenset, runs)) == components_by_adjacency(sub, adjacent)
+                    firsts = [run[0] for run in runs]
+                    assert firsts == sorted(firsts)
+                    if r == size:
+                        assert runs == (tuple(range(size)),)
+                        continue
+                    for run in runs:
+                        assert (run[0] - 1) % size not in sub
+                        assert all((b - a) % size == 1 for a, b in zip(run, run[1:]))
+
+
+def test_ball_levels_match_ball_oracle():
+    for n in range(2, 5):
+        levels = list(itertools.islice(ball_levels(n), 9))
+        for length, level in enumerate(levels):
+            assert {w.length for w in level} <= {length}
+        for r in range(9):
+            assert frozenset().union(*levels[: r + 1]) == ball(n, r)

@@ -86,6 +86,12 @@ def test_element_argument_validation(capsys, tmp_path):
     assert code == 1 and "window" in err
     code, _, err = run(capsys, "smooth", "--element", str(tmp_path / "missing.json"))
     assert code == 1 and err.startswith("error:")
+    for text in ("[1, 2]", '{"window": [1, 2]}'):
+        g = tmp_path / "odd.json"
+        g.write_text(text)
+        code, out, err = run(capsys, "smooth", "--element", str(g))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +222,11 @@ def test_series_enumeration_cap(capsys):
     assert doc["rows"] == [[n, c] for n, c in zip(range(1, 9), (1, 2, 5, 14, 42, 132, 429, 1430))]
     code, _, err = run(capsys, "series", "--which", "A", "--order", "0")
     assert code == 1 and "--order" in err
+    for cap in ("0", "-5"):
+        code, out, err = run(
+            capsys, "series", "--which", "AM", "--order", "9", "--method", "enumerate", "--enum-cap", cap
+        )
+        assert (code, out) == (1, "") and "--enum-cap" in err
 
 
 def test_series_diff_detects_mismatch(capsys, monkeypatch):

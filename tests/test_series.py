@@ -9,7 +9,9 @@ back, and the closed form against the assembled formula at high order.
 import pytest
 
 from schubsmooth.series import (
-    FORMULA,
+    D_FACTORS,
+    P_FACTORS,
+    Q_FACTORS,
     IntSeries,
     alpha,
     asymptotic_check,
@@ -161,9 +163,17 @@ def test_b_identity_against_m():
 
 def test_closed_form_identity():
     order = 40
+
+    def expand(factors):
+        out = IntSeries.one(order)
+        for f in factors:
+            out = out * IntSeries.of(order, *f)
+        return out
+
+    P, Q, D = expand(P_FACTORS), expand(Q_FACTORS), expand(D_FACTORS)
     a = series_A_closed(order)
-    lhs = a * FORMULA.D(order)
-    rhs = FORMULA.P(order) - FORMULA.Q(order) * sqrt_one_minus_4t(order)
+    lhs = a * D
+    rhs = P - Q * sqrt_one_minus_4t(order)
     assert lhs.coeffs == rhs.coeffs
     assert series_A_closed(order).coeffs == series_A_assembled(order).coeffs
 
