@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .affine import AffinePermutation, cycle_runs, from_window, from_word
 from .bp import complete_bp_decomposition
@@ -47,7 +47,6 @@ from .staircase import (
     fully_supported_path_diagrams,
     increasing_diagrams,
     line_decompose,
-    path_graph,
     render,
     to_dyck,
     to_json,
@@ -72,6 +71,10 @@ def _parse_ints(text: str) -> list[int]:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
+def _is_json_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _element(args: argparse.Namespace) -> AffinePermutation:
     sources = [s for s in (args.window, args.word, args.element) if s is not None]
     if len(sources) != 1:
@@ -81,13 +84,17 @@ def _element(args: argparse.Namespace) -> AffinePermutation:
             doc = json.load(fh)
         if not isinstance(doc, dict) or "n" not in doc:
             raise ValueError("element file must hold a JSON object with an 'n' field")
-        n = int(doc["n"])
+        n = doc["n"]
+        if not _is_json_int(n):
+            raise ValueError(f"element file field 'n' must be an integer, got {json.dumps(n)}")
         if args.n is not None and args.n != n:
             raise ValueError(f"--n {args.n} disagrees with element file n = {n}")
-        if "window" in doc:
-            return from_window(n, [int(v) for v in doc["window"]])
-        if "word" in doc:
-            return from_word(n, [int(v) for v in doc["word"]])
+        for key, build in (("window", from_window), ("word", from_word)):
+            if key in doc:
+                values = doc[key]
+                if not isinstance(values, list) or not all(map(_is_json_int, values)):
+                    raise ValueError(f"element file field {key!r} must be a list of integers")
+                return build(n, values)
         raise ValueError("element file needs a 'window' or 'word' field")
     if args.n is None:
         raise ValueError("--n is required with --window/--word")
@@ -371,6 +378,27 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as every other invalid input does; exit 2 is
+    kept for failed cross-checks."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _attach_list_values(argv: Sequence[str]) -> list[str]:
+    """Read `--window -1,4` as `--window=-1,4`: argparse would take -1,4,
+    which is not a plain negative number, for a flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--window", "--word") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _add_element_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=None, help="number of window positions")
     p.add_argument("--window", default=None, help="comma-separated window values")
@@ -379,7 +407,7 @@ def _add_element_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schubsmooth",
         description="Smoothness, BP decompositions, staircase diagrams, and counts "
         "for affine type A Schubert varieties.",
@@ -437,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValueError, OSError, BudgetExceeded) as exc:

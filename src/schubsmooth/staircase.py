@@ -124,10 +124,11 @@ class StaircaseDiagram:
     """Blocks with a partial order given by covers.
 
     The constructor canonicalizes: blocks are sorted, the supplied relation
-    pairs (indices into the block list as given) are closed transitively
-    and reduced back to covers.  Structural defects (empty or duplicate
-    blocks, relation cycles, bad indices) raise MalformedDiagram; axiom
-    violations are reported by validate() instead.
+    pairs (indices into the block list as given) are closed transitively,
+    as one bitmask of upper blocks per block, and reduced back to covers.
+    Structural defects (empty or duplicate blocks, relation cycles, bad
+    indices) raise MalformedDiagram; axiom violations are reported by
+    validate() instead.
 
     >>> d = StaircaseDiagram(cycle_graph(10),
     ...     [[0, 1, 2, 3], [7, 8, 9, 0, 1], [5, 6, 7], [3, 4, 5, 6]],
@@ -153,51 +154,62 @@ class StaircaseDiagram:
         if len(set(raw)) != len(raw):
             raise MalformedDiagram("duplicate blocks")
         k = len(raw)
-        leq = [[False] * k for _ in range(k)]
+        perm = sorted(range(k), key=lambda i: tuple(sorted(raw[i])))
+        pos = [0] * k
+        for new, old in enumerate(perm):
+            pos[old] = new
+        # up[i]: bitmask of the blocks strictly above block i (sorted indices)
+        up = [0] * k
         for pair in self.covers:
             i, j = pair
             if not (0 <= i < k and 0 <= j < k):
                 raise MalformedDiagram(f"cover index {pair} out of range")
             if i == j:
                 raise MalformedDiagram("reflexive cover")
-            leq[i][j] = True
-        for m in range(k):  # Warshall
+            up[pos[i]] |= 1 << pos[j]
+        for m in range(k):  # Warshall: what lies above m lies above all below m
+            bit, above = 1 << m, up[m]
             for i in range(k):
-                if leq[i][m]:
-                    for j in range(k):
-                        if leq[m][j]:
-                            leq[i][j] = True
+                if up[i] & bit:
+                    up[i] |= above
+        if any(up[i] >> i & 1 for i in range(k)):
+            raise MalformedDiagram("relation has a cycle: not a partial order")
+        covers = []
         for i in range(k):
-            if leq[i][i]:
-                raise MalformedDiagram("relation has a cycle: not a partial order")
-        perm = sorted(range(k), key=lambda i: tuple(sorted(raw[i])))
-        pos = {old: new for new, old in enumerate(perm)}
-        closure = frozenset(
-            (pos[i], pos[j]) for i in range(k) for j in range(k) if leq[i][j]
-        )
-        reduced = tuple(
-            sorted(
-                (i, j)
-                for (i, j) in closure
-                if not any((i, m) in closure and (m, j) in closure for m in range(k))
-            )
-        )
+            above = [j for j in range(k) if up[i] >> j & 1]
+            through = 0
+            for m in above:
+                through |= up[m]
+            covers.extend((i, j) for j in above if not through >> j & 1)
         object.__setattr__(self, "blocks", tuple(raw[i] for i in perm))
-        object.__setattr__(self, "covers", reduced)
-        object.__setattr__(self, "_closure", closure)
+        object.__setattr__(self, "covers", tuple(covers))
+        object.__setattr__(self, "_up", tuple(up))
 
     # -- order queries ------------------------------------------------
 
     def less(self, i: int, j: int) -> bool:
-        return (i, j) in self._closure  # type: ignore[attr-defined]
+        return bool(self._up[i] >> j & 1)  # type: ignore[attr-defined]
 
     def comparable(self, i: int, j: int) -> bool:
         return i == j or self.less(i, j) or self.less(j, i)
 
+    @cached_property
+    def _linear(self) -> tuple[int, ...]:
+        """All block indices bottom to top: repeatedly the lowest index with
+        nothing left below it.  Every walk up the order follows this one."""
+        k = len(self.blocks)
+        down = [sum(1 << j for j in range(k) if self.less(j, i)) for i in range(k)]
+        left, order = (1 << k) - 1, []
+        while left:
+            i = next(i for i in range(k) if left >> i & 1 and not down[i] & left)
+            order.append(i)
+            left ^= 1 << i
+        return tuple(order)
+
     def chain_of(self, s: int) -> tuple[int, ...]:
-        """Indices of blocks containing vertex s, sorted bottom to top."""
-        members = [i for i, b in enumerate(self.blocks) if s in b]
-        return tuple(sorted(members, key=lambda i: sum(self.less(j, i) for j in members)))
+        """Indices of blocks containing vertex s, in linear-extension order:
+        bottom to top when they form a chain, as axiom (2) requires."""
+        return tuple(i for i in self._linear if s in self.blocks[i])
 
     @cached_property
     def support(self) -> frozenset[int]:
@@ -223,9 +235,8 @@ class StaircaseDiagram:
         """Length of a longest chain strictly below each block."""
         k = len(self.blocks)
         hs = [0] * k
-        for i in sorted(range(k), key=lambda i: sum(self.less(j, i) for j in range(k))):
-            below = [hs[j] + 1 for j in range(k) if self.less(j, i)]
-            hs[i] = max(below, default=0)
+        for i in self._linear:
+            hs[i] = max((hs[j] + 1 for j in range(k) if self.less(j, i)), default=0)
         return tuple(hs)
 
     def flip(self) -> "StaircaseDiagram":
@@ -239,21 +250,19 @@ class StaircaseDiagram:
 
     # -- geometry on a path --------------------------------------------
 
-    def _position_sorted(self) -> list[int]:
-        return sorted(range(len(self.blocks)), key=lambda i: tuple(sorted(self.blocks[i])))
+    def _is_chain(self, order: Sequence[int]) -> bool:
+        """Whether blocks listed in linear-extension order form a chain."""
+        return all(self.less(i, j) for i, j in zip(order, order[1:]))
 
     def is_chain(self) -> bool:
-        return all(
-            self.comparable(i, j) for i, j in itertools.combinations(range(len(self.blocks)), 2)
-        )
+        return self._is_chain(self._linear)
 
     def _monotone(self, increasing: bool) -> bool:
         if self.graph.kind != "path":
             raise ValueError("increasing/decreasing is defined for path graphs only")
         if not self.is_chain():
             return False
-        k = len(self.blocks)
-        order = sorted(range(k), key=lambda i: sum(self.less(j, i) for j in range(k)))
+        order = self._linear
         for a, b in zip(order, order[1:]):
             lo, hi = self.blocks[a], self.blocks[b]
             if increasing and not (min(lo) < min(hi) and max(lo) < max(hi)):
@@ -287,20 +296,15 @@ class StaircaseDiagram:
                     f"axiom (1): cover union {sorted(self.blocks[i])} u "
                     f"{sorted(self.blocks[j])} is disconnected"
                 )
+        chains = {s: self.chain_of(s) for s in g.vertices}
         for s in sorted(self.support):
-            ch = self.chain_of(s)
-            for i, j in itertools.combinations(ch, 2):
-                if not self.comparable(i, j):
-                    return False, f"axiom (2): blocks containing s_{s} are not a chain"
+            if not self._is_chain(chains[s]):
+                return False, f"axiom (2): blocks containing s_{s} are not a chain"
         for s, t in g.edges():
-            ds, dt = set(self.chain_of(s)), set(self.chain_of(t))
-            union = ds | dt
-            for i, j in itertools.combinations(union, 2):
-                if not self.comparable(i, j):
-                    return False, (
-                        f"axiom (3): blocks meeting {{s_{s}, s_{t}}} are not a chain"
-                    )
-            order = sorted(union, key=lambda i: sum(self.less(j, i) for j in union))
+            ds, dt = set(chains[s]), set(chains[t])
+            order = [i for i in self._linear if i in ds or i in dt]
+            if not self._is_chain(order):
+                return False, f"axiom (3): blocks meeting {{s_{s}, s_{t}}} are not a chain"
             for d, name in ((ds, s), (dt, t)):
                 slots = [p for p, i in enumerate(order) if i in d]
                 if slots and slots[-1] - slots[0] + 1 != len(slots):
@@ -308,13 +312,10 @@ class StaircaseDiagram:
                         f"axiom (3): blocks containing s_{name} are not saturated "
                         f"in the {{s_{s}, s_{t}}} chain"
                     )
+        # the vertex chains are chains by axiom (2): their ends are extremal
         for i, b in enumerate(self.blocks):
-            is_min = any(
-                all(not self.less(j, i) for j in self.chain_of(s) if j != i) for s in b
-            )
-            is_max = any(
-                all(not self.less(i, j) for j in self.chain_of(s) if j != i) for s in b
-            )
+            is_min = any(chains[s][0] == i for s in b)
+            is_max = any(chains[s][-1] == i for s in b)
             if not (is_min and is_max):
                 return False, (
                     f"axiom (4): block {sorted(b)} is not both a minimum and a "
@@ -518,18 +519,14 @@ class BrokenStaircase:
             united |= b
         if united != set(range(1, self.n + 1)):
             raise ValueError("blocks must cover 1..n")
-        head = ends if not self._broken_shape(ends) else ends[:-1]
+        head = ends[:-1] if self.is_broken else ends
         for (a1, b1), (a2, b2) in zip(head, head[1:]):
             if not (a1 < a2 <= b1 + 1 and b1 < b2):
                 raise ValueError("blocks must step strictly rightward")
-        if self._broken_shape(ends):
+        if self.is_broken:
             a_last = ends[-1][0]
             if not (ends[-2][0] < a_last and ends[-1][1] == ends[-2][1] == self.n):
                 raise ValueError("broken overhang must be a right tail of its predecessor")
-
-    @staticmethod
-    def _broken_shape(ends: list[tuple[int, int]]) -> bool:
-        return len(ends) >= 2 and ends[-1][0] >= ends[-2][0] and ends[-1][1] <= ends[-2][1]
 
     @property
     def is_broken(self) -> bool:
@@ -604,6 +601,12 @@ def broken_staircases(n: int, direction: str = INCREASING) -> tuple[BrokenStairc
 # Gluing engine
 
 
+def _directions(count: int, last: str) -> tuple[str, ...]:
+    """count piece directions that alternate and end in last."""
+    other = DECREASING if last == INCREASING else INCREASING
+    return tuple(last if (count - 1 - i) % 2 == 0 else other for i in range(count))
+
+
 def _glue(
     graph: CoxGraph,
     pieces: Sequence[BrokenStaircase],
@@ -615,7 +618,8 @@ def _glue(
     At the seam after piece j: a broken piece merges its overhang into the
     first block of the next piece; otherwise the seam is a cover, pointing
     up into the peak (increasing -> decreasing) or down into the valley
-    (decreasing -> increasing) that starts the next piece.
+    (decreasing -> increasing) that starts the next piece.  The callers
+    have checked that directions alternate.
     """
     assert len(labels) == sum(p.n for p in pieces)
     blocks: list[set[int]] = []
@@ -632,38 +636,27 @@ def _glue(
         piece_ids.append(ids)
         offset += p.n
 
-    parent = list(range(len(blocks)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    # A broken piece has two or more blocks, so the first block of the next
+    # piece, which absorbs its overhang, is never an overhang itself: no
+    # merged block is merged onward.
+    merged: dict[int, int] = {}
     seams = len(pieces) if cyclic else len(pieces) - 1
     for j in range(seams):
-        a = pieces[j]
-        b = pieces[(j + 1) % len(pieces)]
         a_last = piece_ids[j][-1]
         b_first = piece_ids[(j + 1) % len(pieces)][0]
-        if a.is_broken:
-            ra, rb = find(a_last), find(b_first)
-            if ra != rb:
-                parent[ra] = rb
-                blocks[rb] |= blocks[ra]
-        elif a.direction == INCREASING and b.direction == DECREASING:
+        if pieces[j].is_broken:
+            merged[a_last] = b_first
+            blocks[b_first] |= blocks[a_last]
+        elif pieces[j].direction == INCREASING:
             covers.add((a_last, b_first))
-        elif a.direction == DECREASING and b.direction == INCREASING:
-            covers.add((b_first, a_last))
         else:
-            raise ValueError("piece directions must alternate")
+            covers.add((b_first, a_last))
 
-    roots = sorted({find(i) for i in range(len(blocks))})
-    index = {r: i for i, r in enumerate(roots)}
-    final_blocks = [frozenset(blocks[r]) for r in roots]
-    final_covers = {
-        (index[find(i)], index[find(j)]) for i, j in covers if find(i) != find(j)
-    }
+    kept = [i for i in range(len(blocks)) if i not in merged]
+    index = {r: i for i, r in enumerate(kept)}
+    root = [index[merged.get(i, i)] for i in range(len(blocks))]
+    final_blocks = [frozenset(blocks[r]) for r in kept]
+    final_covers = {(root[i], root[j]) for i, j in covers if root[i] != root[j]}
     return StaircaseDiagram(graph, final_blocks, sorted(final_covers))
 
 
@@ -671,24 +664,24 @@ def _glue(
 # Cycle decomposition
 
 
-def _block_runs(d: StaircaseDiagram) -> list[tuple[int, ...]]:
-    return [d.graph.run_order(b) for b in d.blocks]
-
-
-def _extremal_flags(d: StaircaseDiagram, order: list[int]) -> list[Optional[bool]]:
-    """For blocks arranged in a cyclic zigzag, True = local maximum,
-    False = local minimum, None = intermediate."""
-    m = len(order)
-    flags: list[Optional[bool]] = [None] * m
+def _extremes(d: StaircaseDiagram, cyclic: bool) -> list[tuple[int, bool]]:
+    """The local extrema of the zigzag of blocks, taken in order of their
+    first vertex, as (block, is_max).  On a cycle the two ends neighbour
+    each other; on a line they have one neighbour each, and a lone block,
+    having none, counts as a minimum."""
+    order = sorted(range(len(d.blocks)), key=lambda i: d.graph.run_order(d.blocks[i])[0])
+    k = len(order)
+    out = []
     for pos, i in enumerate(order):
-        prv, nxt = order[(pos - 1) % m], order[(pos + 1) % m]
-        up_p, up_n = d.less(prv, i), d.less(nxt, i)
-        dn_p, dn_n = d.less(i, prv), d.less(i, nxt)
-        if up_p and up_n:
-            flags[pos] = True
-        elif dn_p and dn_n:
-            flags[pos] = False
-    return flags
+        if cyclic:
+            neigh = [order[pos - 1], order[(pos + 1) % k]]
+        else:
+            neigh = order[max(pos - 1, 0) : pos] + order[pos + 1 : pos + 2]
+        if all(d.less(i, j) for j in neigh):
+            out.append((i, False))
+        elif all(d.less(j, i) for j in neigh):
+            out.append((i, True))
+    return out
 
 
 def _private_start(d: StaircaseDiagram, i: int) -> int:
@@ -746,12 +739,9 @@ def cycle_decompose(
     if not d.is_spherical():
         raise ValueError("diagram is not spherical")
     n = d.graph.n
-    runs = _block_runs(d)
-    order = sorted(range(len(d.blocks)), key=lambda i: runs[i][0])
-    flags = _extremal_flags(d, order)
-    ext = [(order[p], flags[p]) for p in range(len(order)) if flags[p] is not None]
+    ext = _extremes(d, cyclic=True)
     assert len(ext) % 2 == 0 and ext, "extremal blocks alternate around the cycle"
-    cuts = [(_private_start(d, i), bool(mx)) for i, mx in ext]
+    cuts = [(_private_start(d, i), is_max) for i, is_max in ext]
     pieces = []
     for j, (c, is_max) in enumerate(cuts):
         nxt = cuts[(j + 1) % len(cuts)][0]
@@ -777,9 +767,8 @@ def cycle_glue(pieces: Sequence[BrokenStaircase], mark: int) -> StaircaseDiagram
     pieces = tuple(pieces)
     if len(pieces) < 2 or len(pieces) % 2:
         raise ValueError("need an even number of pieces, at least two")
-    for a, b in zip(pieces, pieces[1:] + pieces[:1]):
-        if a.direction == b.direction:
-            raise ValueError("piece directions must alternate")
+    if tuple(p.direction for p in pieces) != _directions(len(pieces), pieces[-1].direction):
+        raise ValueError("piece directions must alternate")
     if not 1 <= mark <= pieces[-1].n:
         raise ValueError("mark must point into the last piece")
     n = sum(p.n for p in pieces)
@@ -812,21 +801,7 @@ def line_decompose(
     if not d.is_fully_supported():
         raise ValueError("diagram is not fully supported")
     n = d.graph.n
-    runs = _block_runs(d)
-    order = sorted(range(len(d.blocks)), key=lambda i: runs[i][0])
-    k = len(order)
-    ext: list[tuple[int, bool]] = []
-    for pos, i in enumerate(order):
-        neigh = [order[pos - 1]] if pos else []
-        if pos + 1 < k:
-            neigh.append(order[pos + 1])
-        if all(d.less(j, i) for j in neigh):
-            ext.append((i, True))
-        elif all(d.less(i, j) for j in neigh):
-            ext.append((i, False))
-    # single block: both tests pass; count it once, as a minimum
-    if k == 1:
-        ext = [(order[0], False)]
+    ext = _extremes(d, cyclic=False)
     m = max(p for p, (_, is_max) in enumerate(ext) if not is_max) + 1
     cuts = [_private_start(d, i) for i, _ in ext[:m]]
     assert cuts and cuts[0] == 1, "the leftmost block owns vertex 1"
@@ -839,9 +814,9 @@ def line_decompose(
     final_piece = _restrict_piece(d, final_iv, INCREASING)
     assert not final_piece.is_broken, "the final piece is a staircase"
     final = final_piece.as_diagram()
-    for i, p in enumerate(pieces):
-        expect = DECREASING if (len(pieces) - i) % 2 == 1 else INCREASING
-        assert p.direction == expect, "piece directions alternate back from the end"
+    assert tuple(p.direction for p in pieces) == _directions(len(pieces) + 1, INCREASING)[:-1], (
+        "piece directions alternate back from the end"
+    )
     return tuple(pieces), final
 
 
@@ -856,10 +831,8 @@ def line_glue(
     if tail.is_broken:
         raise ValueError("final part must not be broken")
     seq = tuple(pieces) + (tail,)
-    for i, p in enumerate(seq[:-1]):
-        expect = DECREASING if (len(seq) - 1 - i) % 2 == 1 else INCREASING
-        if p.direction != expect:
-            raise ValueError("piece directions must alternate back from the final piece")
+    if tuple(p.direction for p in seq) != _directions(len(seq), INCREASING):
+        raise ValueError("piece directions must alternate back from the final piece")
     n = sum(p.n for p in seq)
     return _glue(path_graph(n), seq, list(range(1, n + 1)), cyclic=False)
 
@@ -875,10 +848,10 @@ def fully_supported_path_diagrams(n: int) -> tuple[StaircaseDiagram, ...]:
     out = []
     for parts in range(1, n + 1):
         for comp in _compositions(n, parts):
-            piece_pools = []
-            for i, size in enumerate(comp[:-1]):
-                direction = DECREASING if (parts - 1 - i) % 2 == 1 else INCREASING
-                piece_pools.append(broken_staircases(size, direction))
+            piece_pools = [
+                broken_staircases(size, direction)
+                for size, direction in zip(comp[:-1], _directions(parts, INCREASING))
+            ]
             final_pool = increasing_diagrams(comp[-1])
             for choice in itertools.product(*piece_pools, final_pool):
                 out.append(line_glue(choice[:-1], choice[-1]))
@@ -904,13 +877,12 @@ def _cycle_fully_supported(n: int) -> tuple[StaircaseDiagram, ...]:
     out = []
     for parts in range(2, n + 1, 2):
         for comp in _compositions(n, parts):
-            for first_dir in (INCREASING, DECREASING):
-                pools = []
-                for i, size in enumerate(comp):
-                    direction = first_dir if i % 2 == 0 else (
-                        DECREASING if first_dir == INCREASING else INCREASING
-                    )
-                    pools.append(broken_staircases(size, direction))
+            # an even number of pieces: the first piece rises when the last falls
+            for last in (DECREASING, INCREASING):
+                pools = [
+                    broken_staircases(size, direction)
+                    for size, direction in zip(comp, _directions(parts, last))
+                ]
                 for choice in itertools.product(*pools):
                     for mark in range(1, comp[-1] + 1):
                         out.append(cycle_glue(choice, mark))
@@ -1002,14 +974,10 @@ def to_element(d: StaircaseDiagram) -> AffinePermutation:
     if not d.is_spherical():
         raise ValueError("only spherical diagrams map to group elements")
     period = d.graph.n if d.graph.kind == "cycle" else d.graph.n + 1
-    remaining = set(range(len(d.blocks)))
     w = identity(period)
     processed: set[int] = set()
     expected = 0
-    while remaining:
-        ready = [i for i in remaining if not any(d.less(j, i) for j in remaining if j != i)]
-        i = min(ready, key=lambda i: tuple(sorted(d.blocks[i])))
-        remaining.discard(i)
+    for i in d._linear:
         block = d.blocks[i]
         inner = frozenset(block & processed)
         factor = longest_element(period, block) * longest_element(period, inner)

@@ -111,3 +111,23 @@ def all_posets(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
         ):
             out.append(frozenset(rel))
     return tuple(out)
+
+
+def order_and_covers(k: int, relation) -> tuple[frozenset, frozenset] | None:
+    """The transitive closure of a relation on 0..k-1 and its cover pairs,
+    both as sets of pairs, or None when the closure has a cycle.  Warshall
+    on a set of pairs; a pair is a cover when nothing lies strictly
+    between its ends."""
+    less = set(relation)
+    for m in range(k):
+        for i in range(k):
+            if (i, m) in less:
+                for j in range(k):
+                    if (m, j) in less:
+                        less.add((i, j))
+    if any((i, i) in less for i in range(k)):
+        return None
+    covers = {
+        (i, j) for (i, j) in less if not any((i, m) in less and (m, j) in less for m in range(k))
+    }
+    return frozenset(less), frozenset(covers)

@@ -86,7 +86,13 @@ def test_element_argument_validation(capsys, tmp_path):
     assert code == 1 and "window" in err
     code, _, err = run(capsys, "smooth", "--element", str(tmp_path / "missing.json"))
     assert code == 1 and err.startswith("error:")
-    for text in ("[1, 2]", '{"window": [1, 2]}'):
+    for text in (
+        "[1, 2]",
+        '{"window": [1, 2]}',
+        '{"n": null, "window": [1, 2]}',
+        '{"n": 2, "window": 5}',
+        '{"n": 2, "word": [0.5]}',
+    ):
         g = tmp_path / "odd.json"
         g.write_text(text)
         code, out, err = run(capsys, "smooth", "--element", str(g))
@@ -383,9 +389,14 @@ def test_json_output_is_a_single_document(capsys):
 
 
 def test_rejected_flags_exit_via_argparse(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["series", "--which", "BOGUS", "--order", "3"])
-    with pytest.raises(SystemExit):
-        cli.main(["staircase", "explode", "--file", "x"])
-    with pytest.raises(SystemExit):
-        cli.main([])
+    for argv in (
+        ["series", "--which", "BOGUS", "--order", "3"],
+        ["staircase", "explode", "--file", "x"],
+        [],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+    # a window starting with a negative value is a value, not a flag
+    code, out, _ = run(capsys, "smooth", "--n", "2", "--window", "-1,4")
+    assert code == 0 and json.loads(out)["window"] == [-1, 4]

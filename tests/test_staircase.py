@@ -18,7 +18,7 @@ import json
 
 import pytest
 
-from oracles import all_posets
+from oracles import all_posets, order_and_covers
 from schubsmooth.affine import longest_element
 from schubsmooth.errors import BudgetExceeded, MalformedDiagram
 from schubsmooth.series import (
@@ -129,6 +129,36 @@ def test_constructor_canonicalizes():
     assert a.blocks == (frozenset({1}), frozenset({2}), frozenset({3}))
     assert a.less(0, 2) and not a.less(2, 0)
     assert a.comparable(0, 2) and a.comparable(1, 1)
+
+
+def test_constructor_order_matches_oracle():
+    # every poset on k <= 4 points, fed as its full order, as its covers and
+    # with one pair reversed (a cycle), over blocks given in every order
+    g = path_graph(4)
+    singletons = [frozenset({v}) for v in g.vertices]
+    for k in range(5):
+        sorted_blocks = tuple(singletons[:k])
+        for order in all_posets(k):
+            closed, covers = order_and_covers(k, order)
+            assert closed == order
+            inputs = [order, covers] + [order | {(j, i)} for i, j in sorted(order)[:1]]
+            for relation in inputs:
+                expected = order_and_covers(k, relation)
+                for perm in itertools.permutations(range(k)):
+                    # input slot t holds sorted block perm[t]
+                    slot = {label: t for t, label in enumerate(perm)}
+                    blocks = [sorted_blocks[label] for label in perm]
+                    pairs = sorted((slot[i], slot[j]) for i, j in relation)
+                    if expected is None:
+                        with pytest.raises(MalformedDiagram, match="cycle"):
+                            StaircaseDiagram(g, blocks, pairs)
+                        continue
+                    d = StaircaseDiagram(g, blocks, pairs)
+                    assert d.blocks == sorted_blocks
+                    assert d.covers == tuple(sorted(expected[1]))
+                    assert {
+                        (i, j) for i in range(k) for j in range(k) if d.less(i, j)
+                    } == expected[0]
 
 
 def test_order_queries_on_wrap_example():
