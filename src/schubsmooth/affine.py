@@ -265,13 +265,15 @@ def longest_element(n: int, subset: Iterable[int]) -> AffinePermutation:
         raise ValueError(f"subset members must be node indices in 0..{n - 1}")
     if len(sub) >= n:
         raise ValueError("subset must be proper: the full cycle generates an infinite group")
-    word: list[int] = []
+    win = list(range(1, n + 1))
     for comp in cycle_runs(n, sub):
-        # standard longest word of type A on consecutive nodes v1..vm:
-        # v1, v2 v1, v3 v2 v1, ...
-        for k in range(len(comp)):
-            word.extend(reversed(comp[: k + 1]))
-    return from_word(n, word)
+        # nodes v..v+m-1 generate the permutations of positions v..v+m, and
+        # the longest one reverses them: w(v + k) = v + m - k, periodically
+        v, m = comp[0], len(comp)
+        for k in range(m + 1):
+            q, r = divmod(v + k - 1, n)
+            win[r] = v + m - k - q * n
+    return AffinePermutation(n, tuple(win))
 
 
 def coset_decompose(w: AffinePermutation, K: Iterable[int]) -> tuple[AffinePermutation, AffinePermutation]:

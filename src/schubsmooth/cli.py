@@ -387,12 +387,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _list_flag(arg: str) -> bool:
+    """Whether arg is --window or --word, or a prefix argparse reads as one."""
+    return len(arg) >= 4 and ("--window".startswith(arg) or "--word".startswith(arg))
+
+
 def _attach_list_values(argv: Sequence[str]) -> list[str]:
-    """Read `--window -1,4` as `--window=-1,4`: argparse would take -1,4,
-    which is not a plain negative number, for a flag."""
+    """Read `--window -1,4` (or `--win -1,4`) as `--window=-1,4`: argparse
+    would take -1,4, which is not a plain negative number, for a flag."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in ("--window", "--word") and arg[:1] == "-" and arg[1:2].isdigit():
+        if out and _list_flag(out[-1]) and arg[:1] == "-" and arg[1:2].isdigit():
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -7,10 +7,19 @@ order as p.  The Schubert variety of w is smooth iff w avoids both 3412 and
 element, i.e. a spiral x(i, m) or y(i, m) with m = k(n-1), k >= 2, times the
 longest element of the parabolic on S minus {s_i}.
 
-The pattern search is windowed.  Put D = max_i |w(i) - i| (shift-invariant).
+Both searches are windowed.  Put D = max_i |w(i) - i| (shift-invariant).
 Any inversion i < j, w(i) > w(j) has j - i < 2D, so for a pattern whose first
 value exceeds its last, every occurrence fits inside a window of width 2D.
 It therefore suffices to scan starting positions i_1 in one period.
+
+Smoothness needs no generic search.  3412 and 4231 both start above where
+they end, so an occurrence at positions a < b < c < d has the inversion
+(a, d) as its first and last positions, and both patterns are read off the
+values strictly between them.  4231 is two values in (w(d), w(a)) that
+increase; 3412 is a value above w(a) before a value below w(d).  One pass
+over (a, d) answers both, keeping only the running minimum of the values in
+(w(d), w(a)) and whether a value above w(a) has been seen.
+`pattern_occurrence` stays as the search for arbitrary patterns.
 """
 
 from __future__ import annotations
@@ -100,12 +109,40 @@ def contains_pattern(w: AffinePermutation, p: tuple[int, ...]) -> bool:
 def is_smooth(w: AffinePermutation) -> bool:
     """Smoothness of the Schubert variety of w: avoid 3412 and 4231.
 
+    Each inversion (a, d) with a in one period and d - a < 2D gets one pass
+    over the positions between them, which finds a 4231 or a 3412 with
+    first position a and last position d (see the module docstring).
+
     >>> is_smooth(from_word(3, [0, 1, 2]))
     True
     >>> is_smooth(from_word(2, [1, 0, 1]))
     False
     """
-    return not contains_pattern(w, PATTERN_3412) and not contains_pattern(w, PATTERN_4231)
+    n, win = w.n, w.window
+    width = 2 * max(abs(v - i) for i, v in enumerate(win, start=1))
+    if width == 0:
+        return True  # the identity
+    # vals[k] = w(k + 1); an occurrence starting at a <= n ends before a + width
+    vals = [win[k % n] + k // n * n for k in range(n + width - 1)]
+    for a in range(n):
+        top = vals[a]
+        for d in range(a + 3, a + width):
+            bottom = vals[d]
+            if bottom > top:
+                continue
+            above = False  # some value above w(a) so far: the 4 of a 3412
+            low = top  # running minimum of the values in (w(d), w(a))
+            for v in vals[a + 1 : d]:
+                if v > top:
+                    above = True
+                elif v < bottom:
+                    if above:
+                        return False  # 3412
+                elif v > low:
+                    return False  # 4231
+                else:
+                    low = v
+    return True
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,23 @@ def length_by_inversions(w: AffinePermutation) -> int:
     return total
 
 
+def longest_element_by_word(n: int, subset) -> AffinePermutation:
+    """Longest element of the parabolic subgroup on a proper subset of the
+    n-cycle, as a product of letters: the standard longest word
+    v1, v2 v1, v3 v2 v1, ... of each run v1, ..., vm of consecutive nodes.
+    Runs are disjoint and non-adjacent, so they commute."""
+    word: list[int] = []
+    for start in subset:
+        if (start - 1) % n in subset:
+            continue
+        run = [start]
+        while (run[-1] + 1) % n in subset:
+            run.append((run[-1] + 1) % n)
+        for k in range(len(run)):
+            word.extend(reversed(run[: k + 1]))
+    return from_word(n, word)
+
+
 def naive_contains(w: AffinePermutation, p: tuple[int, ...], slack: int = 6) -> bool:
     """Pattern containment by exhaustive position search over a window
     wider than any bound the implementation relies on."""

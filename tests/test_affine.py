@@ -11,7 +11,13 @@ import random
 
 import pytest
 
-from oracles import ball, components_by_adjacency, length_by_inversions, subword_lower_set
+from oracles import (
+    ball,
+    components_by_adjacency,
+    length_by_inversions,
+    longest_element_by_word,
+    subword_lower_set,
+)
 from schubsmooth.affine import (
     AffinePermutation,
     ball_levels,
@@ -168,6 +174,13 @@ def test_longest_element_shape():
         assert w0.length == longest_length(n, subset)
         assert w0 * w0 == identity(n)
         assert w0.support == frozenset(subset)
+
+
+def test_longest_element_matches_word_oracle():
+    for n in range(2, 10):
+        for mask in range((1 << n) - 1):  # every proper subset of the cycle
+            subset = {v for v in range(n) if mask >> v & 1}
+            assert longest_element(n, subset) == longest_element_by_word(n, subset), (n, subset)
 
 
 def test_longest_length_adds_over_runs():

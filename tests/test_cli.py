@@ -397,6 +397,11 @@ def test_rejected_flags_exit_via_argparse(capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 1
-    # a window starting with a negative value is a value, not a flag
-    code, out, _ = run(capsys, "smooth", "--n", "2", "--window", "-1,4")
-    assert code == 0 and json.loads(out)["window"] == [-1, 4]
+    # a window starting with a negative value is a value, not a flag,
+    # also after an abbreviated flag
+    for flag in ("--window", "--win", "--wi"):
+        code, out, _ = run(capsys, "smooth", "--n", "2", flag, "-1,4")
+        assert code == 0 and json.loads(out)["window"] == [-1, 4]
+    # a word reaches the element parser, which rejects the letter -1
+    code, _, err = run(capsys, "smooth", "--n", "3", "--wo", "-1,0")
+    assert code == 1 and "reflection index" in err

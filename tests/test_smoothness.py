@@ -66,6 +66,18 @@ def test_containment_matches_wide_window_oracle():
             assert contains_pattern(w, p) == naive_contains(w, p), (w.window, p)
 
 
+def test_is_smooth_matches_generic_search():
+    elements = set(ball(2, 20) | ball(3, 18) | ball(4, 16))
+    rng = random.Random(7)
+    for n in range(5, 9):
+        for _ in range(500):
+            word = [rng.randrange(n) for _ in range(rng.randrange(8 * n + 1))]
+            elements.add(from_word(n, word))
+    for w in elements:
+        expected = not contains_pattern(w, PATTERN_3412) and not contains_pattern(w, PATTERN_4231)
+        assert is_smooth(w) == expected, w.window
+
+
 def test_occurrences_are_witnesses():
     for w in ball(3, 6):
         for p in (PATTERN_3412, PATTERN_4231):

@@ -543,7 +543,7 @@ def test_to_element_properties():
         for d, w in zip(pool, images):
             assert is_smooth(w)
             assert to_element(d.flip()) == w.inverse()
-    for n in (2, 3):
+    for n in (2, 3, 4, 5):
         image = {to_element(d) for d in enumerate_diagrams(cycle_graph(n), spherical_only=True)}
         assert image == enumerate_smooth(n)
 
