@@ -55,6 +55,7 @@ from . import selftest as selftest_module
 
 ENUM_CAP_DEFAULT = 6
 ENUM_CAP_MAX = 8
+SERIES_ORDER_MAX = 1000
 
 
 # ----------------------------------------------------------------------
@@ -231,6 +232,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
     order = args.order
     if order < 1:
         raise ValueError("--order must be at least 1")
+    if order > SERIES_ORDER_MAX:
+        raise ValueError(f"--order must be at most {SERIES_ORDER_MAX}")
     if args.enum_cap < 1:
         raise ValueError("--enum-cap must be at least 1")
     cap = min(args.enum_cap, ENUM_CAP_MAX)
@@ -443,7 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="generating function coefficients")
     p.add_argument("--which", choices=("A", "AM", "AB", "AF", "ABAR", "ASTAR"), required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument(
+        "--order", type=int, required=True, help=f"last coefficient (at most {SERIES_ORDER_MAX})"
+    )
     p.add_argument(
         "--method", choices=("closed", "assembled", "enumerate", "all"), default="closed"
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, index, mul, sub
 from typing import Iterable
 
 
@@ -29,7 +30,8 @@ from typing import Iterable
 class IntSeries:
     """Integer power series known exactly through t^order.
 
-    Binary operations truncate to the shorter operand's order.
+    Binary operations truncate to the shorter operand's order.  Products and
+    quotients skip the terms past an operand's degree: O(order·degree) each.
 
     >>> (IntSeries.of(9, 1, -1) * IntSeries.of(9, 1, -1).inverse()).coeffs
     (1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
@@ -38,7 +40,7 @@ class IntSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
 
@@ -53,8 +55,7 @@ class IntSeries:
         """
         if order < 0:
             raise ValueError("order must be nonnegative")
-        padded = list(coeffs[: order + 1]) + [0] * (order + 1 - len(coeffs))
-        return IntSeries(tuple(padded))
+        return IntSeries(tuple(coeffs[: order + 1]) + (0,) * (order + 1 - len(coeffs)))
 
     @staticmethod
     def one(order: int) -> "IntSeries":
@@ -70,6 +71,11 @@ class IntSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
+    @property
+    def degree(self) -> int:
+        """Index of the last nonzero coefficient; -1 for the zero series."""
+        return next((d for d in range(self.order, -1, -1) if self.coeffs[d]), -1)
+
     def __getitem__(self, n: int) -> int:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
@@ -80,30 +86,25 @@ class IntSeries:
             raise ValueError("cannot extend a truncated series")
         return IntSeries(self.coeffs[: order + 1])
 
-    @staticmethod
-    def _common(a: "IntSeries", b: "IntSeries") -> int:
-        return min(a.order, b.order)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "IntSeries") -> "IntSeries":
-        n = self._common(self, other)
-        return IntSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
+        return IntSeries(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "IntSeries") -> "IntSeries":
-        n = self._common(self, other)
-        return IntSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)))
+        return IntSeries(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "IntSeries":
         return IntSeries(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "IntSeries") -> "IntSeries":
-        n = self._common(self, other)
+        n = min(self.order, other.order)
+        da, db = min(self.degree, n), min(other.degree, n)
+        a, rb = self.coeffs, other.coeffs[n::-1]  # rb[n - j] is other[j]
         out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a:
-                for j in range(n + 1 - i):
-                    out[i + j] += a * other.coeffs[j]
+        for k in range(min(n, da + db) + 1):
+            lo, hi = max(0, k - db), min(k, da) + 1
+            out[k] = sum(map(mul, a[lo:hi], rb[n - k + lo : n - k + hi]))
         return IntSeries(tuple(out))
 
     def scale(self, k: int) -> "IntSeries":
@@ -124,19 +125,23 @@ class IntSeries:
         >>> (s * s).coeffs
         (1, 2, 3, 4, 5, 6, 7)
         """
-        c0 = self.coeffs[0]
-        if c0 not in (1, -1):
-            raise ValueError("inverse needs constant term 1 or -1")
-        n = self.order
-        out = [0] * (n + 1)
-        out[0] = c0
-        for k in range(1, n + 1):
-            acc = sum(self.coeffs[i] * out[k - i] for i in range(1, k + 1))
-            out[k] = -c0 * acc
-        return IntSeries(tuple(out))
+        return IntSeries.one(self.order) / self
 
     def __truediv__(self, other: "IntSeries") -> "IntSeries":
-        return self * other.inverse()
+        """The h with h·g = f for f = self, g = other, by the recurrence
+        h_k = c·(f_k - sum of g_i·h_(k-i) for 1 <= i <= min(k, deg g)),
+        where the constant term c of g must be 1 or -1."""
+        c = other.coeffs[0]
+        if c not in (1, -1):
+            raise ValueError("division needs a divisor with constant term 1 or -1")
+        n = min(self.order, other.order)
+        dg = min(other.degree, n)
+        rg, f = other.coeffs[dg:0:-1], self.coeffs  # rg is g_dg, ..., g_1
+        h: list[int] = []
+        for k in range(n + 1):
+            m = min(k, dg)
+            h.append(c * (f[k] - sum(map(mul, rg[dg - m :], h[k - m :]))))
+        return IntSeries(tuple(h))
 
     # -- calculus and shifts -----------------------------------------------
 
@@ -170,26 +175,25 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def sqrt_one_minus_4t(order: int) -> IntSeries:
     """The integer series S with S² = 1 - 4t, S(0) = 1.
 
-    Coefficients are 1, -2, -2, -4, -10, ... (then -2·Catalan(n-1)).
+    Coefficients 1, -2, -2, -4, -10, ... (-2·Catalan(k-1) for k >= 1), each
+    from the last by s_k = s_(k-1)·2(2k-3)/k.
 
     >>> sqrt_one_minus_4t(5).coeffs
     (1, -2, -2, -4, -10, -28)
     >>> (sqrt_one_minus_4t(80) * sqrt_one_minus_4t(80)).coeffs == IntSeries.of(80, 1, -4).coeffs
     True
     """
-    out = [1] + [0] * order
+    out = [1]
     for k in range(1, order + 1):
-        acc = (-4 if k == 1 else 0) - sum(out[i] * out[k - i] for i in range(1, k))
-        assert acc % 2 == 0
-        out[k] = acc // 2
+        out.append(out[-1] * 2 * (2 * k - 3) // k)
     return IntSeries(tuple(out))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def series_AM(order: int) -> IntSeries:
     """Increasing staircase counts m_n: (1 - 2t - sqrt(1-4t)) / 2t.
 
@@ -202,7 +206,7 @@ def series_AM(order: int) -> IntSeries:
     return num.shift_down(1).divexact(2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def series_AB(order: int) -> IntSeries:
     """Broken staircase counts b_n: (1-t)·A_M/t - 1, so b_n = m_{n+1} - m_n.
 
@@ -213,20 +217,20 @@ def series_AB(order: int) -> IntSeries:
     return IntSeries.of(order, 1, -1) * am_over_t - IntSeries.one(order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def series_Abar(order: int) -> IntSeries:
     """Fully supported spherical cycle-diagram counts:
-    2·A_B·(t·dA_B/dt) / (1 - A_B²).
+    2·A_B·(t·dA_B/dt) / (1 - A_B²), with numerator t·d(A_B²)/dt.
 
     >>> series_Abar(4).coeffs
     (0, 0, 2, 18, 110)
     """
     b = series_AB(order)
-    num = (b * b.t_derivative()).scale(2)
-    return num / (IntSeries.one(order) - b * b)
+    square = b * b
+    return square.t_derivative() / (IntSeries.one(order) - square)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def series_AF(order: int) -> IntSeries:
     """Fully supported path-diagram counts f_n: A_M / (1 - A_B).
 
@@ -236,7 +240,7 @@ def series_AF(order: int) -> IntSeries:
     return series_AM(order) / (IntSeries.one(order) - series_AB(order))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def series_Astar(order: int) -> IntSeries:
     """The bookkeeping series t·A_F / (1-t).
 
@@ -247,7 +251,7 @@ def series_Astar(order: int) -> IntSeries:
     return t_af / IntSeries.of(order, 1, -1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def series_A_assembled(order: int) -> IntSeries:
     """Spherical cycle-diagram counts a_n assembled from the parts:
     Ā + t·(A_*)'/(1 - A_*) + t²/(1-t).
@@ -265,10 +269,7 @@ def series_A_assembled(order: int) -> IntSeries:
 
 
 def _polyseries(order: int, *factors: Iterable[int]) -> IntSeries:
-    out = IntSeries.one(order)
-    for f in factors:
-        out = out * IntSeries.of(order, *f)
-    return out
+    return math.prod((IntSeries.of(order, *f) for f in factors), start=IntSeries.one(order))
 
 
 # The fixed polynomials P, Q, D of the closed form, in factored form.
@@ -277,7 +278,7 @@ Q_FACTORS: tuple[tuple[int, ...], ...] = ((1, -1), (2, -1), (1, -6, 6))
 D_FACTORS: tuple[tuple[int, ...], ...] = ((1, -1), (1, -4), (1, -6, 8, -4))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def series_A_closed(order: int) -> IntSeries:
     """Spherical cycle-diagram counts a_n from the closed form
     (P - Q·sqrt(1-4t)) / D, with the fixed polynomials
@@ -299,9 +300,7 @@ def series_A_closed(order: int) -> IntSeries:
     >>> series_A_closed(60) == series_A_assembled(60)
     True
     """
-    p = _polyseries(order, *P_FACTORS)
-    q = _polyseries(order, *Q_FACTORS)
-    d = _polyseries(order, *D_FACTORS)
+    p, q, d = (_polyseries(order, *f) for f in (P_FACTORS, Q_FACTORS, D_FACTORS))
     return (p - q * sqrt_one_minus_4t(order)) / d
 
 

@@ -148,3 +148,29 @@ def order_and_covers(k: int, relation) -> tuple[frozenset, frozenset] | None:
         (i, j) for (i, j) in less if not any((i, m) in less and (m, j) in less for m in range(k))
     }
     return frozenset(less), frozenset(covers)
+
+
+def series_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Schoolbook product of two truncated series given by their coefficient
+    tuples, truncated to the shorter: every pair of coefficients is multiplied."""
+    n = min(len(a), len(b)) - 1
+    out = [0] * (n + 1)
+    for i, x in enumerate(a[: n + 1]):
+        if x:
+            for j in range(n + 1 - i):
+                out[i + j] += x * b[j]
+    return tuple(out)
+
+
+def series_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+    """Inverse of a truncated series with constant term 1 or -1, solving
+    a·x = 1 one coefficient at a time over the full dense prefix."""
+    c0 = a[0]
+    assert c0 in (1, -1)
+    n = len(a) - 1
+    out = [0] * (n + 1)
+    out[0] = c0
+    for k in range(1, n + 1):
+        acc = sum(a[i] * out[k - i] for i in range(1, k + 1))
+        out[k] = -c0 * acc
+    return tuple(out)

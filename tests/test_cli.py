@@ -228,6 +228,12 @@ def test_series_enumeration_cap(capsys):
     assert doc["rows"] == [[n, c] for n, c in zip(range(1, 9), (1, 2, 5, 14, 42, 132, 429, 1430))]
     code, _, err = run(capsys, "series", "--which", "A", "--order", "0")
     assert code == 1 and "--order" in err
+    # the order has a hard maximum too
+    code, out, _ = run(capsys, "series", "--which", "A", "--order", str(cli.SERIES_ORDER_MAX))
+    assert code == 0 and json.loads(out)["rows"][-1][0] == cli.SERIES_ORDER_MAX
+    code, out, err = run(capsys, "series", "--which", "A", "--order", str(cli.SERIES_ORDER_MAX + 1))
+    assert (code, out) == (1, "") and err.count("\n") == 1
+    assert err.startswith("error: --order must be at most")
     for cap in ("0", "-5"):
         code, out, err = run(
             capsys, "series", "--which", "AM", "--order", "9", "--method", "enumerate", "--enum-cap", cap

@@ -7,7 +7,10 @@ back, and the closed form against the assembled formula at high order.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import series_inverse, series_product
 from schubsmooth.series import (
     D_FACTORS,
     P_FACTORS,
@@ -51,6 +54,11 @@ def test_construction_and_indexing():
         s.truncate(9)
     assert IntSeries.one(2).coeffs == (1, 0, 0)
     assert IntSeries.zero(2).coeffs == (0, 0, 0)
+    # coefficients must be integers, not anything int() accepts
+    with pytest.raises(TypeError):
+        IntSeries.of(3, 0.5, 1.9)
+    with pytest.raises(TypeError):
+        IntSeries(("7", 2))
 
 
 def test_binary_operations_truncate_to_common_order():
@@ -82,6 +90,30 @@ def test_inverse_and_division():
         IntSeries.of(4, 2, 1).inverse()
     with pytest.raises(ValueError):
         IntSeries.of(4, 0, 1).inverse()
+    with pytest.raises(ValueError):
+        IntSeries.one(4) / IntSeries.of(4, 2, 1)
+
+
+@st.composite
+def int_series(draw):
+    """A series of order 0..30: zero, a short polynomial padded with zeros,
+    or dense."""
+    order = draw(st.integers(0, 30))
+    size = draw(st.one_of(st.integers(0, 3), st.just(order + 1), st.integers(0, order + 1)))
+    return IntSeries.of(order, *draw(st.lists(st.integers(), min_size=size, max_size=size)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(int_series(), int_series(), st.sampled_from((1, -1)))
+def test_arithmetic_matches_schoolbook_oracle(f, g, c):
+    assert (f * g).coeffs == series_product(f.coeffs, g.coeffs)
+    # the same g with constant term 1 or -1 as a divisor
+    g = IntSeries((c,) + g.coeffs[1:])
+    inverse = series_inverse(g.coeffs)
+    assert g.inverse().coeffs == inverse
+    q = f / g
+    assert q.coeffs == series_product(f.coeffs, inverse)
+    assert (q * g).coeffs == f.truncate(q.order).coeffs
 
 
 def test_shifts_and_derivative():
@@ -105,10 +137,10 @@ def test_catalan_prefix():
 
 
 def test_sqrt_squares_back_and_matches_catalan():
-    s = sqrt_one_minus_4t(30)
-    assert (s * s).coeffs == IntSeries.of(30, 1, -4).coeffs
+    s = sqrt_one_minus_4t(600)
+    assert (s * s).coeffs == IntSeries.of(600, 1, -4).coeffs
     assert s[0] == 1
-    for k in range(1, 31):
+    for k in range(1, 601):
         assert s[k] == -2 * catalan(k - 1)
 
 
@@ -175,7 +207,7 @@ def test_closed_form_identity():
     lhs = a * D
     rhs = P - Q * sqrt_one_minus_4t(order)
     assert lhs.coeffs == rhs.coeffs
-    assert series_A_closed(order).coeffs == series_A_assembled(order).coeffs
+    assert series_A_closed(300).coeffs == series_A_assembled(300).coeffs
 
 
 def test_coefficients_nonnegative_and_growing():
