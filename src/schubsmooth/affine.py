@@ -25,11 +25,33 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded
 from .poly import Polynomial
+
+
+class cached_attribute:
+    """A method read as an attribute and computed once per object.
+
+    The first access stores the value in the object's ``__dict__``, which
+    later lookups find before this non-data descriptor.  Unlike
+    ``functools.cached_property`` on Python 3.11 it takes no lock.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        # doctest collects an attribute's examples only through these two
+        self.__doc__ = func.__doc__
+        self.__module__ = func.__module__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -75,7 +97,8 @@ class AffinePermutation:
     def __mul__(self, other: "AffinePermutation") -> "AffinePermutation":
         if self.n != other.n:
             raise ValueError(f"period mismatch: {self.n} vs {other.n}")
-        return AffinePermutation(self.n, tuple(self.apply(v) for v in other.window))
+        n, win = self.n, self.window
+        return AffinePermutation(n, tuple([win[(v - 1) % n] + (v - 1) // n * n for v in other.window]))
 
     def inverse(self) -> "AffinePermutation":
         n = self.n
@@ -115,7 +138,7 @@ class AffinePermutation:
                 w.append(v)
         return AffinePermutation(n, tuple(w))
 
-    @cached_property
+    @cached_attribute
     def length(self) -> int:
         n, win = self.n, self.window
         total = 0
@@ -129,7 +152,7 @@ class AffinePermutation:
     def is_identity(self) -> bool:
         return self.length == 0
 
-    @cached_property
+    @cached_attribute
     def right_descents(self) -> frozenset[int]:
         """Indices i with w(i) > w(i+1), reading w(0) = w(n) - n."""
         n, win = self.n, self.window
@@ -138,11 +161,11 @@ class AffinePermutation:
             out.add(0)
         return frozenset(out)
 
-    @cached_property
+    @cached_attribute
     def left_descents(self) -> frozenset[int]:
         return self.inverse().right_descents
 
-    @cached_property
+    @cached_attribute
     def reduced_word(self) -> tuple[int, ...]:
         """Reduced word by greedy right-descent stripping, smallest index first.
 
@@ -160,7 +183,7 @@ class AffinePermutation:
             w = w.times_s(i)
         return tuple(reversed(letters))
 
-    @cached_property
+    @cached_attribute
     def support(self) -> frozenset[int]:
         """The set of letters appearing in any reduced word."""
         return frozenset(self.reduced_word)
@@ -330,7 +353,7 @@ def bruhat_leq(x: AffinePermutation, w: AffinePermutation) -> bool:
             x = x.times_s(i)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)  # one benchmark queries pass fills about 400 entries
 def _lower_interval(w: AffinePermutation, cap: int) -> frozenset[AffinePermutation]:
     if w.length > cap:
         raise BudgetExceeded(f"interval of an element of length {w.length} exceeds cap {cap}")

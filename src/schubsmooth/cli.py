@@ -237,16 +237,21 @@ def _cmd_series(args: argparse.Namespace) -> int:
     if args.enum_cap < 1:
         raise ValueError("--enum-cap must be at least 1")
     cap = min(args.enum_cap, ENUM_CAP_MAX)
-    methods = (
-        ["closed", "assembled", "enumerate"] if args.method == "all" else [args.method]
-    )
+    # only A has an assembled formula of its own; a second column from the
+    # closed formula would make --diff compare a column with itself
+    if args.method == "assembled" and which != "A":
+        raise ValueError(f"--method assembled is defined for --which A only, not {which}")
+    if args.method == "all":
+        methods = ["closed", "assembled", "enumerate"] if which == "A" else ["closed", "enumerate"]
+    else:
+        methods = [args.method]
     columns: dict[str, dict[int, int]] = {}
     for method in methods:
         if method == "closed":
             s = _series_formula(which, order)
             columns["closed"] = {n: s[n] for n in range(1, order + 1)}
         elif method == "assembled":
-            s = series_A_assembled(order) if which == "A" else _series_formula(which, order)
+            s = series_A_assembled(order)
             columns["assembled"] = {n: s[n] for n in range(1, order + 1)}
         else:
             lo = 2 if which in ("A", "ABAR") else 1

@@ -222,7 +222,7 @@ def is_rationally_smooth(w: AffinePermutation) -> bool:
     return is_smooth(w) or is_twisted_spiral(w)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def enumerate_smooth(
     n: int, max_length: Optional[int] = None, budget_seconds: Optional[float] = None
 ) -> frozenset[AffinePermutation]:

@@ -30,10 +30,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .affine import AffinePermutation, cycle_runs, identity, longest_element
+from .affine import AffinePermutation, cached_attribute, cycle_runs, identity, longest_element
 from .errors import BudgetExceeded, MalformedDiagram
 
 INCREASING = "increasing"
@@ -193,7 +193,7 @@ class StaircaseDiagram:
     def comparable(self, i: int, j: int) -> bool:
         return i == j or self.less(i, j) or self.less(j, i)
 
-    @cached_property
+    @cached_attribute
     def _linear(self) -> tuple[int, ...]:
         """All block indices bottom to top: repeatedly the lowest index with
         nothing left below it.  Every walk up the order follows this one."""
@@ -211,7 +211,7 @@ class StaircaseDiagram:
         bottom to top when they form a chain, as axiom (2) requires."""
         return tuple(i for i in self._linear if s in self.blocks[i])
 
-    @cached_property
+    @cached_attribute
     def support(self) -> frozenset[int]:
         out: set[int] = set()
         for b in self.blocks:
@@ -296,17 +296,23 @@ class StaircaseDiagram:
                     f"axiom (1): cover union {sorted(self.blocks[i])} u "
                     f"{sorted(self.blocks[j])} is disconnected"
                 )
-        chains = {s: self.chain_of(s) for s in g.vertices}
+        # chain_of(s) for every vertex in one pass, with its blocks as a bitmask
+        chains: dict[int, list[int]] = {s: [] for s in g.vertices}
+        masks = dict.fromkeys(g.vertices, 0)
+        for i in self._linear:
+            for s in self.blocks[i]:
+                chains[s].append(i)
+                masks[s] |= 1 << i
         for s in sorted(self.support):
             if not self._is_chain(chains[s]):
                 return False, f"axiom (2): blocks containing s_{s} are not a chain"
         for s, t in g.edges():
-            ds, dt = set(chains[s]), set(chains[t])
-            order = [i for i in self._linear if i in ds or i in dt]
+            both = masks[s] | masks[t]
+            order = [i for i in self._linear if both >> i & 1]
             if not self._is_chain(order):
                 return False, f"axiom (3): blocks meeting {{s_{s}, s_{t}}} are not a chain"
-            for d, name in ((ds, s), (dt, t)):
-                slots = [p for p, i in enumerate(order) if i in d]
+            for mask, name in ((masks[s], s), (masks[t], t)):
+                slots = [p for p, i in enumerate(order) if mask >> i & 1]
                 if slots and slots[-1] - slots[0] + 1 != len(slots):
                     return False, (
                         f"axiom (3): blocks containing s_{name} are not saturated "
@@ -953,6 +959,14 @@ def _assemble_on_runs(g: CoxGraph, support: Sequence[int]) -> Iterator[Staircase
 # The map to Weyl group elements
 
 
+@lru_cache(maxsize=1024)
+def _block_factor(period: int, block: frozenset[int], inner: frozenset[int]) -> AffinePermutation:
+    """The maximal element of W_block modulo W_inner: the minimal coset
+    representative of the longest element of W_block.  A few hundred
+    (period, block, inner) triples serve every diagram up to period 7."""
+    return longest_element(period, block) * longest_element(period, inner)
+
+
 def to_element(d: StaircaseDiagram) -> AffinePermutation:
     """Multiply, block by block, the maximal element of W_B modulo the
     parabolic on B's overlap with the union of lower blocks.
@@ -979,8 +993,7 @@ def to_element(d: StaircaseDiagram) -> AffinePermutation:
     expected = 0
     for i in d._linear:
         block = d.blocks[i]
-        inner = frozenset(block & processed)
-        factor = longest_element(period, block) * longest_element(period, inner)
+        factor = _block_factor(period, block, block & processed)
         expected += factor.length
         w = factor * w
         processed |= block

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from schubsmooth.affine import AffinePermutation, from_word, identity
+from schubsmooth.affine import AffinePermutation, from_word, identity, longest_element
 
 
 def ball(n: int, radius: int) -> frozenset[AffinePermutation]:
@@ -78,6 +78,28 @@ def longest_element_by_word(n: int, subset) -> AffinePermutation:
         for k in range(len(run)):
             word.extend(reversed(run[: k + 1]))
     return from_word(n, word)
+
+
+def product_by_apply(x: AffinePermutation, y: AffinePermutation) -> AffinePermutation:
+    """x * y by its definition: the window of the composite is x applied to
+    each window entry of y, one public apply call per entry."""
+    return AffinePermutation(x.n, tuple(x.apply(v) for v in y.window))
+
+
+def to_element_by_factors(d) -> AffinePermutation:
+    """The element of a spherical staircase diagram, rebuilding every block
+    factor: along the diagram's linear extension, each block B contributes
+    the longest element of W_B times that of W on B's overlap with the lower
+    blocks, multiplied on the left."""
+    period = d.graph.n if d.graph.kind == "cycle" else d.graph.n + 1
+    w = identity(period)
+    processed: set[int] = set()
+    for i in d._linear:
+        block = d.blocks[i]
+        inner = frozenset(block & processed)
+        w = longest_element(period, block) * longest_element(period, inner) * w
+        processed |= block
+    return w
 
 
 def naive_contains(w: AffinePermutation, p: tuple[int, ...], slack: int = 6) -> bool:

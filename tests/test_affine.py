@@ -10,17 +10,21 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     ball,
     components_by_adjacency,
     length_by_inversions,
     longest_element_by_word,
+    product_by_apply,
     subword_lower_set,
 )
 from schubsmooth.affine import (
     AffinePermutation,
     ball_levels,
+    cached_attribute,
     bruhat_leq,
     bruhat_lower_interval,
     coset_decompose,
@@ -77,6 +81,41 @@ def test_multiplication_composes_evaluations():
             assert prod.apply(i) == a.apply(b.apply(i))
     with pytest.raises(ValueError):
         identity(2) * identity(3)
+
+
+def word_elements(n):
+    """An element of period n from a random word of up to 8n letters."""
+    return st.lists(st.integers(0, n - 1), max_size=8 * n).map(lambda word: from_word(n, word))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(word_elements(n), word_elements(n), word_elements(n))))
+def test_product_matches_apply_oracle(xyz):
+    x, y, z = xyz
+    assert x * y == product_by_apply(x, y)
+    assert (x * y) * z == x * (y * z)
+    assert x * x.inverse() == identity(x.n)
+
+
+def test_cached_attribute_computes_once():
+    calls = []
+
+    class Box:
+        @cached_attribute
+        def value(self):
+            """The docstring is kept."""
+            calls.append(self)
+            return object()
+
+    box = Box()
+    first = box.value
+    assert box.value is first and box.__dict__["value"] is first
+    assert calls == [box]
+    assert Box.value.__doc__ == "The docstring is kept."
+    w = from_word(4, [2, 3, 1, 2])
+    assert "reduced_word" not in w.__dict__
+    word = w.reduced_word
+    assert w.reduced_word is word and w.__dict__["reduced_word"] is word
 
 
 def test_identity_and_inverse():

@@ -216,6 +216,14 @@ def test_series_components(capsys):
     doc = json.loads(out)
     assert code == 0 and doc["mismatches"] == []
     assert doc["rows"] == [[1, 1], [2, 3], [3, 11], [4, 43], [5, 173], [6, 707]]
+    # only A has an assembled formula of its own, so only A gets that column
+    assert doc["methods"] == ["closed", "enumerate"]
+    code, out, _ = run(capsys, "series", "--which", "AM", "--order", "5", "--method", "all")
+    assert code == 0 and json.loads(out)["methods"] == ["closed", "enumerate"]
+    for which in ("AM", "AB", "AF", "ABAR", "ASTAR"):
+        code, out, err = run(capsys, "series", "--which", which, "--order", "5", "--method", "assembled")
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        assert err.startswith("error: --method assembled")
 
 
 def test_series_enumeration_cap(capsys):

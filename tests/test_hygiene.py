@@ -2,6 +2,12 @@
 
 Every name a module imports must be used: it has to appear somewhere in
 the module outside its import statement (a doctest counts as a use).
+
+Every cache is bounded, so a long-lived process does not grow without
+limit: no bare ``@lru_cache``, ``lru_cache(maxsize=None)`` or
+``functools.cache`` outside the few enumerators keyed only by a capped n.
+Cached attributes have one implementation, ``affine.cached_attribute``,
+so nothing imports ``functools.cached_property``.
 """
 
 import ast
@@ -46,3 +52,78 @@ def test_unused_imports_are_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Unbounded caches that are allowed: each is keyed by n alone (and a
+# direction), and every caller caps n, so the cache holds a few entries.
+UNBOUNDED_CACHES = {
+    "increasing_diagrams": "keyed by n; path enumeration caps n at 12",
+    "broken_staircases": "keyed by n and one of two directions; n is at most 12",
+    "fully_supported_path_diagrams": "keyed by n; path enumeration caps n at 12",
+    "_cycle_fully_supported": "keyed by n; cycle enumeration caps n at 8",
+}
+
+
+def _called_name(expr) -> str | None:
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    return None
+
+
+def _is_unbounded_cache(expr) -> bool:
+    """A bare lru_cache or cache, or lru_cache called with maxsize None."""
+    if isinstance(expr, ast.Call) and _called_name(expr.func) == "lru_cache":
+        sizes = expr.args[:1] + [k.value for k in expr.keywords if k.arg == "maxsize"]
+        return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+    return _called_name(expr) in ("lru_cache", "cache")
+
+
+def cache_findings(source: str) -> tuple[list[str], list[str]]:
+    """Names of the functions behind an unbounded cache (``line N`` for one
+    made outside a decorator), and the lines that use cached_property."""
+    tree = ast.parse(source)
+    unbounded, decorators = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                decorators.add(id(dec))
+                if _is_unbounded_cache(dec):
+                    unbounded.append(node.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in decorators and _is_unbounded_cache(node):
+            unbounded.append(f"line {node.lineno}")
+    cached_property = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module == "functools"
+        and any(a.name == "cached_property" for a in node.names)
+        or isinstance(node, ast.Attribute)
+        and node.attr == "cached_property"
+    ]
+    return unbounded, cached_property
+
+
+def test_cache_findings_are_detected():
+    source = (
+        "import functools\n"
+        "from functools import cached_property, lru_cache\n"
+        "@lru_cache\ndef a(): pass\n"
+        "@lru_cache(maxsize=None)\ndef b(): pass\n"
+        "@functools.lru_cache(None)\ndef c(): pass\n"
+        "@functools.cache\ndef d(): pass\n"
+        "@lru_cache(maxsize=8)\ndef e(): pass\n"
+        "@lru_cache()\ndef f(): pass\n"
+        "g = lru_cache(maxsize=None)(len)\n"
+        "class C:\n    p = functools.cached_property(len)\n"
+    )
+    assert cache_findings(source) == (["a", "b", "c", "d", "line 15"], ["line 2", "line 17"])
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_caches_are_bounded(path):
+    unbounded, cached_property = cache_findings(path.read_text(encoding="utf-8"))
+    assert [name for name in unbounded if name not in UNBOUNDED_CACHES] == []
+    assert cached_property == []

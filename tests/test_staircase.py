@@ -18,7 +18,8 @@ import json
 
 import pytest
 
-from oracles import all_posets, order_and_covers
+from oracles import all_posets, order_and_covers, to_element_by_factors
+from schubsmooth import staircase
 from schubsmooth.affine import longest_element
 from schubsmooth.errors import BudgetExceeded, MalformedDiagram
 from schubsmooth.series import (
@@ -556,6 +557,21 @@ def test_to_element_on_paths():
         for w in images:
             assert is_smooth(w)
             assert w.n == n + 1
+
+
+def test_to_element_matches_factor_oracle():
+    pool = [d for n in range(2, 7) for d in enumerate_diagrams(cycle_graph(n), spherical_only=True)]
+    pool += [d for n in range(1, 6) for d in fully_supported_path_diagrams(n)]
+    expected = [to_element_by_factors(d) for d in pool]
+    staircase._block_factor.cache_clear()
+    assert [to_element(d) for d in pool] == expected  # cold factor cache
+    assert staircase._block_factor.cache_info().hits > 0
+    assert [to_element(d) for d in pool] == expected  # warm factor cache
+    # a cached attribute is computed once and kept on the diagram
+    d = pool[-1].flip()
+    assert "_linear" not in d.__dict__
+    order = d._linear
+    assert d._linear is order and d.__dict__["_linear"] is order
 
 
 def test_to_element_rejects_nonspherical():
