@@ -60,7 +60,6 @@ from .smoothness import (
     is_smooth,
     is_twisted_spiral,
     pattern_occurrence,
-    smooth_count,
     spiral,
     spiral_word,
     twisted_spiral,

@@ -32,6 +32,7 @@ from .series import (
     series_Astar,
 )
 from .smoothness import (
+    PERIOD_MAX,
     enumerate_smooth,
     is_rationally_smooth,
     is_smooth,
@@ -444,9 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("enumerate", help="list all smooth elements of the affine group")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"period, at most {PERIOD_MAX}")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--max-length", type=int, default=None)
+    p.add_argument("--max-length", type=int, default=None, help="keep only lengths up to this")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("series", help="generating function coefficients")

@@ -98,16 +98,15 @@ def criterion_3(scale: str = "full") -> tuple[bool, str]:
 
 def criterion_4(scale: str = "full") -> tuple[bool, str]:
     """Pattern-avoider counts match a_n, and to_element hits them exactly."""
-    top = _cap(scale, 4)
-    img_top = _cap(scale, 3)
-    a = series_A_closed(max(top, img_top))
+    top = _cap(scale, 5)
+    a = series_A_closed(top)
     ok = True
     details = []
     for n in range(2, top + 1):
         cnt = len(enumerate_smooth(n))
         details.append(f"|smooth({n})| = {cnt}")
         ok = ok and cnt == a[n]
-    for n in range(2, img_top + 1):
+    for n in range(2, top + 1):
         diagrams = enumerate_diagrams(cycle_graph(n), spherical_only=True)
         image = {to_element(d) for d in diagrams}
         same = len(image) == len(diagrams) and image == set(enumerate_smooth(n))

@@ -30,6 +30,17 @@ def ball(n: int, radius: int) -> frozenset[AffinePermutation]:
     return frozenset(seen)
 
 
+def bounded_windows(n: int) -> frozenset[AffinePermutation]:
+    """Every affine permutation of period n with |w(i) - i| <= 2(n-1) for
+    all i, by trying every window entry in that range."""
+    bound = 2 * (n - 1)
+    out = set()
+    for window in itertools.product(*(range(i - bound, i + bound + 1) for i in range(1, n + 1))):
+        if sum(window) == n * (n + 1) // 2 and len({v % n for v in window}) == n:
+            out.add(AffinePermutation(n, window))
+    return frozenset(out)
+
+
 def components_by_adjacency(vertices, adjacent) -> frozenset[frozenset[int]]:
     """Connected components of the graph on the given vertices with edges
     given by the predicate adjacent(u, v), grown one neighbour at a time."""
@@ -45,6 +56,17 @@ def components_by_adjacency(vertices, adjacent) -> frozenset[frozenset[int]]:
             left -= extra
         comps.append(frozenset(comp))
     return frozenset(comps)
+
+
+def inversion_balance(w: AffinePermutation, i: int) -> int:
+    """#{j > i : w(j) < w(i)} - #{j < i : w(j) > w(i)}, counted over a
+    window wider than any such j can reach: w(j) < w(i) with j > i forces
+    j - i < 2D, D = max |w(t) - t|, and likewise below i."""
+    n = w.n
+    reach = 3 * max(abs(w.apply(t) - t) for t in range(1, n + 1)) + n
+    below_after = sum(1 for j in range(i + 1, i + reach + 1) if w.apply(j) < w.apply(i))
+    above_before = sum(1 for j in range(i - reach, i) if w.apply(j) > w.apply(i))
+    return below_after - above_before
 
 
 def length_by_inversions(w: AffinePermutation) -> int:
@@ -103,21 +125,24 @@ def to_element_by_factors(d) -> AffinePermutation:
 
 
 def naive_contains(w: AffinePermutation, p: tuple[int, ...], slack: int = 6) -> bool:
-    """Pattern containment by exhaustive position search over a window
-    wider than any bound the implementation relies on."""
+    """Pattern containment (k >= 2) by exhaustive position search over a
+    window wider than any bound the implementation relies on.  Position
+    tuples are tried narrowest first, so a containing element is usually
+    settled long before the widest tuples."""
     n, k = w.n, len(p)
     disp = max(abs(w.apply(t) - t) for t in range(1, n + 1))
     width = 3 * disp + slack
-    for i1 in range(1, n + 1):
-        for rest in itertools.combinations(range(i1 + 1, i1 + width + 1), k - 1):
-            pos = (i1,) + rest
-            vals = [w.apply(i) for i in pos]
-            if all(
-                (vals[a] < vals[b]) == (p[a] < p[b])
-                for a in range(k)
-                for b in range(a + 1, k)
-            ):
-                return True
+    for span in range(k - 1, width + 1):
+        for i1 in range(1, n + 1):
+            for mid in itertools.combinations(range(i1 + 1, i1 + span), k - 2):
+                pos = (i1,) + mid + (i1 + span,)
+                vals = [w.apply(i) for i in pos]
+                if all(
+                    (vals[a] < vals[b]) == (p[a] < p[b])
+                    for a in range(k)
+                    for b in range(a + 1, k)
+                ):
+                    return True
     return False
 
 

@@ -177,11 +177,24 @@ def test_enumerate_listing_sorted(capsys):
     assert out == "0\t1,2\n1\t0,3\n1\t2,1\n2\t-1,4\n2\t3,0\n"
 
 
+def test_enumerate_max_length_filters(capsys):
+    code, out, _ = run(capsys, "--format", "tsv", "enumerate", "--n", "3", "--max-length", "3")
+    assert code == 0
+    _, full, _ = run(capsys, "--format", "tsv", "enumerate", "--n", "3")
+    kept = [row for row in full.splitlines() if int(row.split("\t")[0]) <= 3]
+    assert out.splitlines() == kept and 1 < len(kept) < 31
+
+
 def test_enumerate_budget_errors(capsys):
-    code, _, err = run(capsys, "enumerate", "--n", "3", "--max-length", "3")
-    assert code == 1 and err.startswith("error:")
     code, _, err = run(capsys, "--budget-seconds", "1e-9", "enumerate", "--n", "3")
-    assert code == 1 and err.startswith("error:")
+    assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+    assert "smooth elements found so far" in err
+
+
+def test_enumerate_period_cap(capsys):
+    code, out, err = run(capsys, "enumerate", "--n", "7")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ----------------------------------------------------------------------

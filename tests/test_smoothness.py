@@ -3,8 +3,9 @@
 The implementation's windowed pattern scan is checked against an
 exhaustive search over a deliberately wider window, and the avoider
 counts are pinned both for finite symmetric groups and for the affine
-enumeration.  Twisted spirals get their own battery: recognized, never
-smooth, always rationally smooth.
+enumeration.  The displacement bound that makes the enumeration finite
+is checked on the oracles alone.  Twisted spirals get their own battery:
+recognized, never smooth, always rationally smooth.
 """
 
 import random
@@ -12,8 +13,9 @@ from itertools import permutations
 
 import pytest
 
-from oracles import ball, naive_contains
+from oracles import ball, inversion_balance, naive_contains
 from schubsmooth.affine import (
+    AffinePermutation,
     coset_decompose,
     from_window,
     from_word,
@@ -33,7 +35,6 @@ from schubsmooth.smoothness import (
     is_smooth,
     is_twisted_spiral,
     pattern_occurrence,
-    smooth_count,
     spiral,
     spiral_word,
     twisted_spiral,
@@ -127,8 +128,8 @@ def test_enumerate_smooth_small_periods():
     two = enumerate_smooth(2)
     assert sorted(w.window for w in two) == [(-1, 4), (0, 3), (1, 2), (2, 1), (3, 0)]
     assert sorted(w.length for w in two) == [0, 1, 1, 2, 2]
-    assert smooth_count(2) == 5
-    assert smooth_count(3) == 31
+    assert len(enumerate_smooth(2)) == 5
+    assert len(enumerate_smooth(3)) == 31
     for n in (2, 3):
         found = enumerate_smooth(n)
         assert identity(n) in found
@@ -141,10 +142,49 @@ def test_enumerate_smooth_small_periods():
 def test_enumerate_smooth_budgets():
     with pytest.raises(ValueError):
         enumerate_smooth(1)
-    with pytest.raises(BudgetExceeded):
-        enumerate_smooth(2, max_length=3)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(ValueError):
+        enumerate_smooth(7)
+    assert enumerate_smooth(3, max_length=3) == {w for w in enumerate_smooth(3) if w.length <= 3}
+    assert enumerate_smooth(2, max_length=0) == {identity(2)}
+    with pytest.raises(BudgetExceeded, match=r"at window \d+: \d+ smooth elements found so far"):
         enumerate_smooth(3, budget_seconds=1e-9)
+
+
+# ----------------------------------------------------------------------
+# the displacement bound: a 3412-avoider has |w(i) - i| <= 2(n-1)
+
+
+def displacement(w):
+    return max(abs(w.apply(i) - i) for i in range(1, w.n + 1))
+
+
+def test_inversion_balance_is_displacement():
+    rng = random.Random(5)
+    for n in range(2, 8):
+        for _ in range(50):
+            residues = list(range(1, n + 1))
+            rng.shuffle(residues)
+            shifts = [rng.randint(-3, 3) for _ in range(n - 1)]
+            shifts.append(-sum(shifts))
+            w = AffinePermutation(n, tuple(r + k * n for r, k in zip(residues, shifts)))
+            for i in range(-n, 2 * n):
+                assert inversion_balance(w, i) == w.apply(i) - i, (w.window, i)
+
+
+def test_3412_avoiders_obey_displacement_bound():
+    for n in (2, 3, 4):
+        far = [w for w in ball(n, 4 * n) if displacement(w) > 2 * (n - 1)]
+        assert far  # the ball reaches past the bound
+        for w in far:
+            assert naive_contains(w, PATTERN_3412), w.window
+
+
+def test_displacement_bound_is_attained():
+    for n in range(2, 7):
+        w = AffinePermutation(n, (3 - 2 * n,) + tuple(range(n + 2, 3, -1)))
+        assert displacement(w) == 2 * (n - 1)
+        assert not naive_contains(w, PATTERN_3412)
+        assert not naive_contains(w, PATTERN_4231)
 
 
 # ----------------------------------------------------------------------
