@@ -9,10 +9,8 @@ functions.  See the README for the command-line interface.
 from .affine import (
     AffinePermutation,
     ball_levels,
-    bruhat_leq,
     bruhat_lower_interval,
     coset_decompose,
-    coset_decompose_left,
     cycle_runs,
     from_window,
     from_word,
@@ -20,7 +18,6 @@ from .affine import (
     longest_element,
     longest_length,
     poincare_polynomial,
-    simple_reflection,
 )
 from .bp import (
     BPDecomposition,
@@ -39,7 +36,6 @@ from .series import (
     Q_FACTORS,
     IntSeries,
     alpha,
-    asymptotic_check,
     catalan,
     series_A_assembled,
     series_A_closed,
@@ -51,17 +47,12 @@ from .series import (
     sqrt_one_minus_4t,
 )
 from .smoothness import (
-    PATTERN_3412,
-    PATTERN_4231,
     SpiralSpec,
-    contains_pattern,
     enumerate_smooth,
     is_rationally_smooth,
     is_smooth,
     is_twisted_spiral,
-    pattern_occurrence,
     spiral,
-    spiral_word,
     twisted_spiral,
 )
 from .staircase import (

@@ -200,10 +200,6 @@ def from_window(n: int, window: Sequence[int]) -> AffinePermutation:
     return AffinePermutation(n, tuple(window))
 
 
-def simple_reflection(n: int, i: int) -> AffinePermutation:
-    return identity(n).times_s(i)
-
-
 def from_word(n: int, word: Iterable[int]) -> AffinePermutation:
     """Product s_{i_1} * s_{i_2} * ... for word = [i_1, i_2, ...].
 
@@ -323,40 +319,15 @@ def coset_decompose(w: AffinePermutation, K: Iterable[int]) -> tuple[AffinePermu
     return v, u
 
 
-def coset_decompose_left(w: AffinePermutation, K: Iterable[int]) -> tuple[AffinePermutation, AffinePermutation]:
-    """Parabolic decomposition w = u * v with u in W_K and v minimal in W_K w."""
-    vv, uu = coset_decompose(w.inverse(), K)
-    return uu.inverse(), vv.inverse()
-
-
-def bruhat_leq(x: AffinePermutation, w: AffinePermutation) -> bool:
-    """Bruhat order: x <= w iff x occurs as a subword of a reduced word of w.
-
-    Decided by the lifting property: for i a right descent of w,
-    x <= w iff (x s_i <= w s_i when i is a descent of x, else x <= w s_i).
-
-    >>> bruhat_leq(from_word(3, [1]), from_word(3, [1, 2, 1]))
-    True
-    >>> bruhat_leq(from_word(3, [0]), from_word(3, [1, 2, 1]))
-    False
-    """
-    if x.n != w.n:
-        raise ValueError(f"period mismatch: {x.n} vs {w.n}")
-    while True:
-        if x.length > w.length:
-            return False
-        if x.length == 0:
-            return True
-        i = min(w.right_descents)
-        w = w.times_s(i)
-        if i in x.right_descents:
-            x = x.times_s(i)
+# Lower intervals are built only below elements of at most this length: the
+# interval of an element of length l can hold up to 2**l elements.
+INTERVAL_CAP = 16
 
 
 @lru_cache(maxsize=512)  # one benchmark queries pass fills about 400 entries
-def _lower_interval(w: AffinePermutation, cap: int) -> frozenset[AffinePermutation]:
-    if w.length > cap:
-        raise BudgetExceeded(f"interval of an element of length {w.length} exceeds cap {cap}")
+def _lower_interval(w: AffinePermutation) -> frozenset[AffinePermutation]:
+    if w.length > INTERVAL_CAP:
+        raise BudgetExceeded(f"interval of an element of length {w.length} exceeds cap {INTERVAL_CAP}")
     elems: set[AffinePermutation] = {identity(w.n)}
     for i in w.reduced_word:
         extra = set()
@@ -368,9 +339,7 @@ def _lower_interval(w: AffinePermutation, cap: int) -> frozenset[AffinePermutati
     return frozenset(elems)
 
 
-def bruhat_lower_interval(
-    w: AffinePermutation, J: Iterable[int] = (), cap: int = 16
-) -> frozenset[AffinePermutation]:
+def bruhat_lower_interval(w: AffinePermutation, J: Iterable[int] = ()) -> frozenset[AffinePermutation]:
     """All x <= w lying in W^J (no right descents in J).
 
     Every x <= w has a reduced word occurring as a subword of one fixed
@@ -381,15 +350,13 @@ def bruhat_lower_interval(
     6
     """
     js = frozenset(J)
-    interval = _lower_interval(w, cap)
+    interval = _lower_interval(w)
     if not js:
         return interval
     return frozenset(x for x in interval if not (x.right_descents & js))
 
 
-def poincare_polynomial(
-    w: AffinePermutation, J: Iterable[int] = (), cap: int = 16
-) -> Polynomial:
+def poincare_polynomial(w: AffinePermutation, J: Iterable[int] = ()) -> Polynomial:
     """Rank generating polynomial of {x in W^J : x <= w}.
 
     >>> str(poincare_polynomial(longest_element(4, {1, 2})))
@@ -398,5 +365,5 @@ def poincare_polynomial(
     js = frozenset(J)
     if w.right_descents & js:
         raise ValueError(f"w has right descents {sorted(w.right_descents & js)} in J: not in W^J")
-    counts = Counter(x.length for x in bruhat_lower_interval(w, js, cap))
+    counts = Counter(x.length for x in bruhat_lower_interval(w, js))
     return Polynomial.from_length_counts(counts)

@@ -26,6 +26,7 @@ from typing import Iterable, Optional
 
 from .affine import (
     AffinePermutation,
+    cached_attribute,
     coset_decompose,
     cycle_runs,
     longest_element,
@@ -42,9 +43,7 @@ def _require_quotient(w: AffinePermutation, js: frozenset[int]) -> None:
         raise ValueError(f"w has right descents {sorted(bad)} in J: not in W^J")
 
 
-def is_bp(
-    w: AffinePermutation, K: Iterable[int], J: Iterable[int] = (), cap: int = 16
-) -> bool:
+def is_bp(w: AffinePermutation, K: Iterable[int], J: Iterable[int] = ()) -> bool:
     """Whether the parabolic decomposition of w along K is BP relative to J.
 
     >>> from .affine import from_word
@@ -62,8 +61,8 @@ def is_bp(
     v, u = coset_decompose(w, ks)
     if not js:
         return (v.support & ks) <= u.left_descents
-    lhs = poincare_polynomial(w, js, cap)
-    rhs = poincare_polynomial(v, ks, cap) * poincare_polynomial(u, js, cap)
+    lhs = poincare_polynomial(w, js)
+    rhs = poincare_polynomial(v, ks) * poincare_polynomial(u, js)
     return lhs == rhs
 
 
@@ -76,7 +75,7 @@ def _is_maximal_factor(v: AffinePermutation, K_next: frozenset[int]) -> bool:
 
 
 def find_grassmannian_bp(
-    w: AffinePermutation, J: Iterable[int] = (), cap: int = 16
+    w: AffinePermutation, J: Iterable[int] = ()
 ) -> Optional[tuple[AffinePermutation, AffinePermutation, frozenset[int]]]:
     """A Grassmannian BP decomposition (v, u, K) of w relative to J, or None.
 
@@ -99,7 +98,7 @@ def find_grassmannian_bp(
         if s in w.right_descents:
             continue
         K = full - {s}
-        if not is_bp(w, K, js, cap):
+        if not is_bp(w, K, js):
             continue
         v, u = coset_decompose(w, K)
         if len(v.support) < n and len(u.support) < n:
@@ -111,7 +110,7 @@ def find_grassmannian_bp(
         # maximal element of a finite parabolic: every decomposition works
         s = min(sw - js)
         K = full - {s}
-        if is_bp(w, K, js, cap):
+        if is_bp(w, K, js):
             v, u = coset_decompose(w, K)
             return v, u, K
 
@@ -124,7 +123,7 @@ class BPDecomposition:
 
     chain holds K_0 ⊇ ... ⊇ K_m with K_0 = S(w) ∪ J, K_m = J, and
     K_i = S(u_{i+1}) ∪ J; maximal[i] flags whether v_i is the maximal
-    element of its coset quotient.
+    element of its coset quotient, and labels names its Grassmannian.
     """
 
     w: AffinePermutation
@@ -142,9 +141,21 @@ class BPDecomposition:
     def all_maximal(self) -> bool:
         return all(self.maximal)
 
+    @cached_attribute
+    def labels(self) -> tuple[GrassmannianLabel, ...]:
+        """The Grassmannian label of each factor v_i: the node dropped from
+        K_{i-1} to K_i, and the support of v_i.  That node is the only right
+        descent of v_i, so the support is connected: one run of the cycle."""
+        labels = []
+        for i, v in enumerate(self.factors):
+            (missing,) = self.chain[i] - self.chain[i + 1]
+            (nodes,) = cycle_runs(self.w.n, v.support)
+            labels.append(GrassmannianLabel(nodes, missing, nodes.index(missing) + 1, len(nodes) + 1))
+        return tuple(labels)
+
 
 def complete_bp_decomposition(
-    w: AffinePermutation, J: Iterable[int] = (), cap: int = 16
+    w: AffinePermutation, J: Iterable[int] = ()
 ) -> Optional[BPDecomposition]:
     """Iterate find_grassmannian_bp until the support is exhausted.
 
@@ -159,7 +170,7 @@ def complete_bp_decomposition(
     flags: list[bool] = []
     u = w
     while not u.support <= js:
-        hit = find_grassmannian_bp(u, js, cap)
+        hit = find_grassmannian_bp(u, js)
         if hit is None:
             return None
         v, u_next, K = hit
@@ -190,9 +201,7 @@ class GrassmannianLabel:
     m: int
 
 
-def fibre_tower(
-    w: AffinePermutation, J: Iterable[int] = (), cap: int = 16
-) -> tuple[GrassmannianLabel, ...]:
+def fibre_tower(w: AffinePermutation, J: Iterable[int] = ()) -> tuple[GrassmannianLabel, ...]:
     """Grassmannian labels of the fibre bundle tower of a smooth element.
 
     Raises NotSmooth when no complete BP decomposition into maximal coset
@@ -202,16 +211,10 @@ def fibre_tower(
     >>> [(lab.a, lab.m) for lab in fibre_tower(longest_element(4, {1}))]
     [(1, 2)]
     """
-    decomp = complete_bp_decomposition(w, J, cap)
+    decomp = complete_bp_decomposition(w, J)
     if decomp is None or not decomp.all_maximal():
         raise NotSmooth(f"no complete maximal BP decomposition for window {w.window}")
-    labels = []
-    for i, v in enumerate(decomp.factors):
-        missing = next(iter(decomp.chain[i] - decomp.chain[i + 1]))
-        (nodes,) = cycle_runs(w.n, v.support)
-        a = nodes.index(missing) + 1
-        labels.append(GrassmannianLabel(nodes=nodes, missing=missing, a=a, m=len(nodes) + 1))
-    return tuple(labels)
+    return decomp.labels
 
 
 def is_smooth_partial(w: AffinePermutation, J: Iterable[int]) -> bool:

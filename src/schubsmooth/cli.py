@@ -18,8 +18,8 @@ import json
 import sys
 from typing import NoReturn, Optional, Sequence
 
-from .affine import AffinePermutation, cycle_runs, from_window, from_word
-from .bp import complete_bp_decomposition
+from .affine import AffinePermutation, from_window, from_word
+from .bp import complete_bp_decomposition, is_smooth_partial
 from .errors import BudgetExceeded, MalformedDiagram
 from .series import (
     IntSeries,
@@ -144,28 +144,18 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if bad:
         raise ValueError(f"--J nodes {bad} outside 0..{w.n - 1}")
     decomposition = complete_bp_decomposition(w, js)
-    if js:
-        from .bp import is_smooth_partial
-
-        smooth = is_smooth_partial(w, js)
-    else:
-        smooth = is_smooth(w)
+    smooth = is_smooth_partial(w, js)  # for J empty this is is_smooth(w)
     factors = None
     if decomposition is not None:
-        factors = []
-        for i, v in enumerate(decomposition.factors):
-            missing = sorted(decomposition.chain[i] - decomposition.chain[i + 1])[0]
-            factors.append(
-                {
-                    "word": list(v.reduced_word),
-                    "K": sorted(decomposition.chain[i + 1]),
-                    "maximal": decomposition.maximal[i],
-                    "grassmannian": {
-                        "nodes": list(cycle_runs(w.n, v.support)[0]),
-                        "missing": missing,
-                    },
-                }
-            )
+        factors = [
+            {
+                "word": list(v.reduced_word),
+                "K": sorted(decomposition.chain[i + 1]),
+                "maximal": decomposition.maximal[i],
+                "grassmannian": {"nodes": list(label.nodes), "missing": label.missing},
+            }
+            for i, (v, label) in enumerate(zip(decomposition.factors, decomposition.labels))
+        ]
     doc = {"factors": factors, "smooth": smooth, "window": list(w.window)}
     rows = []
     if factors is None:

@@ -1,7 +1,8 @@
 """Integer polynomials in one variable q, dense and exact.
 
 Just enough arithmetic for Poincare polynomials: addition, multiplication,
-evaluation, and the palindromicity test q^deg * p(1/q) == p(q).
+evaluation, the palindromicity test q^deg * p(1/q) == p(q), and the
+Gaussian binomials that are the Poincare polynomials of Grassmannians.
 """
 
 from __future__ import annotations
@@ -99,3 +100,23 @@ class Polynomial:
             else:
                 parts.append(f"{c}*q^{k}" if c != 1 else f"q^{k}")
         return " + ".join(parts)
+
+
+def gaussian_binomial(m: int, a: int) -> Polynomial:
+    """The Gaussian binomial [m choose a]_q, the Poincare polynomial of the
+    Grassmannian Gr(a, m), by the q-Pascal rule
+    [j choose k] = [j-1 choose k-1] + q^k [j-1 choose k].
+
+    >>> str(gaussian_binomial(4, 2))
+    '1 + q + 2*q^2 + q^3 + q^4'
+    """
+    if not 0 <= a <= m:
+        raise ValueError(f"need 0 <= a <= m, got a = {a}, m = {m}")
+    row = [Polynomial.of(1)]  # [j choose k] for k = 0..j, starting at j = 0
+    for j in range(1, m + 1):
+        row = [
+            (row[k - 1] if k else Polynomial.zero())
+            + (Polynomial((0,) * k + row[k].coeffs) if k < j else Polynomial.zero())
+            for k in range(j + 1)
+        ]
+    return row[a]

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .affine import ball_levels, poincare_polynomial
-from .bp import complete_bp_decomposition, find_grassmannian_bp
+from .bp import complete_bp_decomposition, fibre_tower
 from .errors import NotSmooth
+from .poly import Polynomial, gaussian_binomial
 from .series import (
     alpha,
     catalan,
@@ -147,23 +148,20 @@ def criterion_6(scale: str = "full") -> tuple[bool, str]:
 
 
 def criterion_7(scale: str = "full") -> tuple[bool, str]:
-    """P_w = P^K_v · P_u for every Grassmannian BP split of a smooth w."""
+    """P_w is the product of [m choose a]_q over the fibre tower of every
+    smooth w: each level is a Grassmannian Gr(a, m)."""
     n_top = _cap(scale, 4)
-    len_top = _cap(scale, 12)
     checked = 0
     ok = True
     for n in range(2, n_top + 1):
         for w in enumerate_smooth(n):
-            if w.is_identity() or w.length > len_top:
-                continue
-            hit = find_grassmannian_bp(w)
-            if hit is None:
-                continue
-            v, u, ks = hit
-            if poincare_polynomial(w) != poincare_polynomial(v, ks) * poincare_polynomial(u):
+            product = Polynomial.of(1)
+            for label in fibre_tower(w):
+                product = product * gaussian_binomial(label.m, label.a)
+            if poincare_polynomial(w) != product:
                 ok = False
             checked += 1
-    return ok, f"{checked} factorizations, lengths <= {len_top}, n <= {n_top}"
+    return ok, f"{checked} smooth elements, P_w = prod of [m choose a]_q over the tower, n <= {n_top}"
 
 
 def criterion_8(scale: str = "full") -> tuple[bool, str]:
@@ -272,7 +270,8 @@ def run_selftest(scale: str = "full", workers: int = 1) -> tuple[CriterionResult
     """
     jobs = [(i, name, scale) for i, name, _ in CRITERIA]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts every worker up front; more than one per criterion would idle
+        with ProcessPoolExecutor(max_workers=min(workers, len(CRITERIA))) as pool:
             results = list(pool.map(_run_one, jobs))
     else:
         results = [_run_one(job) for job in jobs]

@@ -326,17 +326,3 @@ def alpha() -> float:
             hi = mid
     return (lo + hi) / 2
 
-
-def asymptotic_check(order: int = 60) -> tuple[tuple[int, float], ...]:
-    """Sampled values of a_n·α^n, which approach 1 as n grows.
-
-    >>> pairs = asymptotic_check(60)
-    >>> 0.98 <= dict(pairs)[60] <= 1.02
-    True
-    """
-    a = series_A_closed(order)
-    root = alpha()
-    samples = [n for n in range(10, order + 1, 10)]
-    if not samples or samples[-1] != order:
-        samples.append(order)
-    return tuple((n, float(a[n]) * root**n) for n in samples)

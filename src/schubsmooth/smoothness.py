@@ -7,19 +7,19 @@ order as p.  The Schubert variety of w is smooth iff w avoids both 3412 and
 element, i.e. a spiral x(i, m) or y(i, m) with m = k(n-1), k >= 2, times the
 longest element of the parabolic on S minus {s_i}.
 
-Both searches are windowed.  Put D = max_i |w(i) - i| (shift-invariant).
-Any inversion i < j, w(i) > w(j) has j - i < 2D, so for a pattern whose first
-value exceeds its last, every occurrence fits inside a window of width 2D.
+The scan is windowed.  Put D = max_i |w(i) - i| (shift-invariant).  Any
+inversion i < j, w(i) > w(j) has j - i < 2D, and 3412 and 4231 both start
+above where they end, so every occurrence fits inside a window of width 2D.
 It therefore suffices to scan starting positions i_1 in one period.
 
-Smoothness needs no generic search.  3412 and 4231 both start above where
-they end, so an occurrence at positions a < b < c < d has the inversion
-(a, d) as its first and last positions, and both patterns are read off the
-values strictly between them.  4231 is two values in (w(d), w(a)) that
-increase; 3412 is a value above w(a) before a value below w(d).  One pass
-over (a, d) answers both, keeping only the running minimum of the values in
-(w(d), w(a)) and whether a value above w(a) has been seen.
-`pattern_occurrence` stays as the search for arbitrary patterns.
+No generic pattern search is needed.  An occurrence at positions
+a < b < c < d has the inversion (a, d) as its first and last positions,
+and both patterns are read off the values strictly between them.  4231 is
+two values in (w(d), w(a)) that increase; 3412 is a value above w(a)
+before a value below w(d).  One pass over (a, d) answers both, keeping
+only the running minimum of the values in (w(d), w(a)) and whether a value
+above w(a) has been seen.  The windowed search for an arbitrary pattern
+lives in the test oracles, as the reference this scan is checked against.
 
 The smooth elements form a finite set, because a 3412-avoider moves no
 integer far: |w(i) - i| <= 2(n-1) for every i.  Proof sketch.  Every
@@ -42,6 +42,7 @@ avoidance for affine permutations, EJC 2010).
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,71 +57,6 @@ from .affine import (
     longest_length,
 )
 from .errors import BudgetExceeded
-
-PATTERN_3412: tuple[int, ...] = (3, 4, 1, 2)
-PATTERN_4231: tuple[int, ...] = (4, 2, 3, 1)
-
-
-def _check_pattern(p: tuple[int, ...]) -> None:
-    k = len(p)
-    if k == 0 or sorted(p) != list(range(1, k + 1)):
-        raise ValueError(f"pattern must be a permutation of 1..k, got {p}")
-    if p[0] <= p[-1]:
-        raise ValueError(
-            "windowed search is complete only for patterns whose first value "
-            f"exceeds their last, got {p}"
-        )
-
-
-def pattern_occurrence(w: AffinePermutation, p: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """One occurrence of p in w as a tuple of positions, or None.
-
-    >>> pattern_occurrence(identity(4), PATTERN_3412) is None
-    True
-    """
-    _check_pattern(p)
-    n, k = w.n, len(p)
-    disp = max(abs(w.window[i] - (i + 1)) for i in range(n))
-    if disp == 0:
-        return None  # the identity has no inversions
-    width = 2 * disp  # occurrence positions live in [i1, i1 + width)
-    vals = [w.apply(i) for i in range(1, n + width)]
-
-    def extend(positions: list[int], start: int) -> Optional[tuple[int, ...]]:
-        t = len(positions)
-        if t == k:
-            return tuple(positions)
-        limit = positions[0] + width  # exclusive upper bound on further positions
-        for j in range(start, min(limit, len(vals) + 1)):
-            vj = vals[j - 1]
-            ok = True
-            for a, pa in enumerate(positions):
-                # relative order of chosen values must match the pattern prefix
-                if (vals[pa - 1] < vj) != (p[a] < p[t]):
-                    ok = False
-                    break
-            if ok:
-                positions.append(j)
-                hit = extend(positions, j + 1)
-                if hit:
-                    return hit
-                positions.pop()
-        return None
-
-    for i1 in range(1, n + 1):
-        hit = extend([i1], i1 + 1)
-        if hit:
-            return hit
-    return None
-
-
-def contains_pattern(w: AffinePermutation, p: tuple[int, ...]) -> bool:
-    """Whether w contains the pattern p (p's first value must exceed its last).
-
-    >>> contains_pattern(from_word(2, [0, 1, 0]), PATTERN_3412)
-    True
-    """
-    return pattern_occurrence(w, p) is not None
 
 
 def is_smooth(w: AffinePermutation) -> bool:
@@ -182,13 +118,6 @@ class SpiralSpec:
             raise ValueError(f"winding count must be at least 2, got {self.k}")
 
 
-def spiral_word(spec: SpiralSpec, n: int) -> tuple[int, ...]:
-    m = spec.k * (n - 1)
-    if spec.direction == "x":
-        return tuple((spec.i + m - 1 - t) % n for t in range(m))
-    return tuple((spec.i - m + 1 + t) % n for t in range(m))
-
-
 def spiral(spec: SpiralSpec, n: int) -> AffinePermutation:
     """The spiral element of winding count k at node i.
 
@@ -197,8 +126,13 @@ def spiral(spec: SpiralSpec, n: int) -> AffinePermutation:
     """
     if not 0 <= spec.i < n:
         raise ValueError(f"base node must be in 0..{n - 1}, got {spec.i}")
-    w = from_word(n, spiral_word(spec, n))
-    assert w.length == spec.k * (n - 1), "spiral words are reduced"
+    m = spec.k * (n - 1)
+    if spec.direction == "x":
+        word = [(spec.i + m - 1 - t) % n for t in range(m)]
+    else:
+        word = [(spec.i - m + 1 + t) % n for t in range(m)]
+    w = from_word(n, word)
+    assert w.length == m, "spiral words are reduced"
     return w
 
 
@@ -263,7 +197,9 @@ def enumerate_smooth(
     if not 2 <= n <= PERIOD_MAX:
         raise ValueError(f"period must be in 2..{PERIOD_MAX}, got {n}")
     bound, total = 2 * (n - 1), n * (n + 1) // 2
-    deadline = time.monotonic() + budget_seconds if budget_seconds else None
+    if budget_seconds is not None and not 0 < budget_seconds < math.inf:
+        raise ValueError(f"budget must be a positive number of seconds, got {budget_seconds}")
+    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     found: set[AffinePermutation] = set()
     visited = 0
     for head in itertools.product(*(range(i - bound, i + bound + 1) for i in range(1, n))):

@@ -31,7 +31,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .affine import AffinePermutation, cached_attribute, cycle_runs, identity, longest_element
 from .errors import BudgetExceeded, MalformedDiagram
@@ -554,23 +554,24 @@ def _chain_blocks(d: StaircaseDiagram) -> list[frozenset[int]]:
     return sorted(d.blocks, key=min)
 
 
-def break_staircase(d: StaircaseDiagram, direction: Optional[str] = None) -> BrokenStaircase:
+def break_staircase(d: StaircaseDiagram) -> BrokenStaircase:
     """Drop the last vertex of a fully supported monotone diagram on a path
     with n+1 vertices, keeping the nonempty intersections.
 
     The name avoids the reserved word; this is the breaking operation.
-    A single-block diagram is both increasing and decreasing, so the
-    direction may need to be supplied; it defaults to increasing.
+    The piece keeps the diagram's direction; a single-block diagram is
+    both increasing and decreasing, and breaks as increasing.
     """
     if d.graph.kind != "path" or d.graph.n < 2:
         raise ValueError("need a path diagram on at least two vertices")
     if not d.is_fully_supported():
         raise ValueError("diagram is not fully supported")
-    inc, dec = d.is_increasing(), d.is_decreasing()
-    if direction is None:
-        direction = INCREASING if inc else DECREASING
-    if direction == INCREASING and not inc or direction == DECREASING and not dec:
-        raise ValueError(f"diagram is not {direction}")
+    if d.is_increasing():
+        direction = INCREASING
+    elif d.is_decreasing():
+        direction = DECREASING
+    else:
+        raise ValueError("diagram is neither increasing nor decreasing")
     n = d.graph.n - 1
     last = d.graph.n
     blocks = [b - {last} for b in _chain_blocks(d)]
@@ -901,16 +902,15 @@ def enumerate_diagrams(
     g: CoxGraph,
     spherical_only: bool = False,
     fully_supported_only: bool = False,
-    max_n: Optional[int] = None,
 ) -> frozenset[StaircaseDiagram]:
     """Every staircase diagram on g, optionally restricted to spherical or
     fully supported ones.  Exact and duplicate-free; n is capped (path 12,
-    cycle 8 by default) because counts grow like 4.4^n.
+    cycle 8) because counts grow like 4.4^n.
 
     >>> len(enumerate_diagrams(cycle_graph(2), spherical_only=True))
     5
     """
-    cap = max_n if max_n is not None else (12 if g.kind == "path" else 8)
+    cap = 12 if g.kind == "path" else 8
     if g.n > cap:
         raise BudgetExceeded(f"{g.kind} enumeration capped at n = {cap}, got {g.n}")
     out: list[StaircaseDiagram] = []

@@ -3,12 +3,19 @@
 Everything here is deliberately naive: direct definitions and exhaustive
 search.  Nothing reuses the package's algorithms beyond constructing
 elements, so agreement is evidence rather than tautology.
+
+The generic pattern search (``pattern_occurrence``, ``contains_pattern``)
+is the one windowed search here: it looks only within 2D of each start,
+as the package's pair scan does, and is fast enough to check is_smooth on
+thousands of elements; ``naive_contains`` checks it without the window.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
+from typing import Optional
 
 from schubsmooth.affine import AffinePermutation, from_word, identity, longest_element
 
@@ -56,6 +63,14 @@ def components_by_adjacency(vertices, adjacent) -> frozenset[frozenset[int]]:
             left -= extra
         comps.append(frozenset(comp))
     return frozenset(comps)
+
+
+def gaussian_binomial_by_subsets(m: int, a: int) -> tuple[int, ...]:
+    """Coefficients of [m choose a]_q, low degree first: each a-subset S of
+    {1, ..., m} contributes q^(sum(S) - a(a+1)/2)."""
+    base = a * (a + 1) // 2
+    counts = Counter(sum(S) - base for S in itertools.combinations(range(1, m + 1), a))
+    return tuple(counts[k] for k in range(max(counts) + 1))
 
 
 def inversion_balance(w: AffinePermutation, i: int) -> int:
@@ -144,6 +159,72 @@ def naive_contains(w: AffinePermutation, p: tuple[int, ...], slack: int = 6) -> 
                 ):
                     return True
     return False
+
+
+PATTERN_3412: tuple[int, ...] = (3, 4, 1, 2)
+PATTERN_4231: tuple[int, ...] = (4, 2, 3, 1)
+
+
+def _check_pattern(p: tuple[int, ...]) -> None:
+    k = len(p)
+    if k == 0 or sorted(p) != list(range(1, k + 1)):
+        raise ValueError(f"pattern must be a permutation of 1..k, got {p}")
+    if p[0] <= p[-1]:
+        raise ValueError(
+            "windowed search is complete only for patterns whose first value "
+            f"exceeds their last, got {p}"
+        )
+
+
+def pattern_occurrence(w: AffinePermutation, p: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """One occurrence of p in w as a tuple of positions, or None.
+
+    >>> pattern_occurrence(identity(4), PATTERN_3412) is None
+    True
+    """
+    _check_pattern(p)
+    n, k = w.n, len(p)
+    disp = max(abs(w.window[i] - (i + 1)) for i in range(n))
+    if disp == 0:
+        return None  # the identity has no inversions
+    width = 2 * disp  # occurrence positions live in [i1, i1 + width)
+    vals = [w.apply(i) for i in range(1, n + width)]
+
+    def extend(positions: list[int], start: int) -> Optional[tuple[int, ...]]:
+        t = len(positions)
+        if t == k:
+            return tuple(positions)
+        limit = positions[0] + width  # exclusive upper bound on further positions
+        for j in range(start, min(limit, len(vals) + 1)):
+            vj = vals[j - 1]
+            ok = True
+            for a, pa in enumerate(positions):
+                # relative order of chosen values must match the pattern prefix
+                if (vals[pa - 1] < vj) != (p[a] < p[t]):
+                    ok = False
+                    break
+            if ok:
+                positions.append(j)
+                hit = extend(positions, j + 1)
+                if hit:
+                    return hit
+                positions.pop()
+        return None
+
+    for i1 in range(1, n + 1):
+        hit = extend([i1], i1 + 1)
+        if hit:
+            return hit
+    return None
+
+
+def contains_pattern(w: AffinePermutation, p: tuple[int, ...]) -> bool:
+    """Whether w contains the pattern p (p's first value must exceed its last).
+
+    >>> contains_pattern(from_word(2, [0, 1, 0]), PATTERN_3412)
+    True
+    """
+    return pattern_occurrence(w, p) is not None
 
 
 def subword_lower_set(w: AffinePermutation) -> frozenset[AffinePermutation]:

@@ -25,10 +25,8 @@ from schubsmooth.affine import (
     AffinePermutation,
     ball_levels,
     cached_attribute,
-    bruhat_leq,
     bruhat_lower_interval,
     coset_decompose,
-    coset_decompose_left,
     cycle_runs,
     from_window,
     from_word,
@@ -36,7 +34,6 @@ from schubsmooth.affine import (
     longest_element,
     longest_length,
     poincare_polynomial,
-    simple_reflection,
 )
 from schubsmooth.errors import BudgetExceeded
 from schubsmooth.poly import Polynomial
@@ -173,7 +170,6 @@ def test_from_word_is_a_homomorphism():
         u = [rng.randrange(4) for _ in range(rng.randrange(8))]
         v = [rng.randrange(4) for _ in range(rng.randrange(8))]
         assert from_word(4, u + v) == from_word(4, u) * from_word(4, v)
-    assert simple_reflection(3, 0) == from_word(3, [0])
 
 
 def test_reduced_word_reproduces_element():
@@ -242,10 +238,6 @@ def test_coset_decompose():
             assert not (v.right_descents & K)
             assert u.support <= K
             assert coset_decompose(v, K) == (v, identity(3))
-            lu, lv = coset_decompose_left(w, K)
-            assert lu * lv == w
-            assert lu.support <= K
-            assert not (lv.left_descents & K)
 
 
 # ----------------------------------------------------------------------
@@ -253,11 +245,8 @@ def test_coset_decompose():
 
 
 def test_bruhat_matches_subword_oracle():
-    elements = sorted(ball(3, 5), key=lambda w: (w.length, w.window))
-    for w in elements:
-        lower = subword_lower_set(w)
-        for x in elements:
-            assert bruhat_leq(x, w) == (x in lower), (x.window, w.window)
+    for w in ball(3, 5):
+        assert bruhat_lower_interval(w) == subword_lower_set(w), w.window
 
 
 def test_bruhat_lower_interval():
@@ -269,8 +258,10 @@ def test_bruhat_lower_interval():
     assert len(interval) == poincare_polynomial(w)(1)
     restricted = bruhat_lower_interval(w, {1})
     assert restricted == frozenset(x for x in interval if 1 not in x.right_descents)
-    with pytest.raises(BudgetExceeded):
-        bruhat_lower_interval(longest_element(5, {1, 2, 3}), cap=3)
+    long = from_word(2, [0, 1] * 8 + [0])  # reduced: the infinite dihedral group
+    assert long.length == 17
+    with pytest.raises(BudgetExceeded, match="length 17 exceeds cap 16"):
+        bruhat_lower_interval(long)
 
 
 def test_poincare_polynomial_counts_interval_by_length():

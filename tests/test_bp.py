@@ -5,10 +5,11 @@ Grassmannian dimensions add up to the length.
 """
 
 import itertools
+import random
 
 import pytest
 
-from oracles import ball, bounded_windows
+from oracles import ball, bounded_windows, gaussian_binomial_by_subsets
 from schubsmooth.affine import (
     coset_decompose,
     from_window,
@@ -27,6 +28,7 @@ from schubsmooth.bp import (
     is_smooth_partial,
 )
 from schubsmooth.errors import NotSmooth
+from schubsmooth.poly import gaussian_binomial
 from schubsmooth.smoothness import SpiralSpec, enumerate_smooth, is_smooth, twisted_spiral
 
 
@@ -112,6 +114,31 @@ def test_smooth_iff_complete_maximal_decomposition():
     for w in ball(3, 7) | bounded_windows(4):
         d = complete_bp_decomposition(w)
         assert is_smooth(w) == (d is not None and d.all_maximal()), w.window
+
+
+def test_every_decomposition_has_labels():
+    # each factor's support is the one run its label names, relative to the
+    # empty J and to a random J the element has no right descents in
+    rng = random.Random(3)
+    for w in ball(3, 7) | ball(4, 6):
+        allowed = sorted(set(range(w.n)) - w.right_descents)
+        for J in ((), frozenset(rng.sample(allowed, rng.randrange(len(allowed) + 1)))):
+            d = complete_bp_decomposition(w, J)
+            if d is None:
+                continue
+            assert len(d.labels) == len(d.factors)
+            for i, (v, lab) in enumerate(zip(d.factors, d.labels)):
+                assert frozenset(lab.nodes) == v.support
+                assert d.chain[i] - d.chain[i + 1] == {lab.missing}
+                assert lab.nodes[lab.a - 1] == lab.missing and lab.m == len(lab.nodes) + 1
+
+
+def test_gaussian_binomial_matches_subset_sums():
+    for m in range(9):
+        for a in range(m + 1):
+            assert gaussian_binomial(m, a).coeffs == gaussian_binomial_by_subsets(m, a), (m, a)
+    with pytest.raises(ValueError):
+        gaussian_binomial(2, 3)
 
 
 def test_fibre_tower_dimensions_sum_to_length():

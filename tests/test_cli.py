@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from schubsmooth import cli
+from schubsmooth import cli, selftest
 from schubsmooth.affine import from_window, from_word, identity
 from schubsmooth.selftest import CRITERIA, TABLE_1
 from schubsmooth.staircase import StaircaseDiagram, cycle_graph, to_json
@@ -189,6 +189,10 @@ def test_enumerate_budget_errors(capsys):
     code, _, err = run(capsys, "--budget-seconds", "1e-9", "enumerate", "--n", "3")
     assert code == 1 and err.startswith("error:") and err.count("\n") == 1
     assert "smooth elements found so far" in err
+    for budget in ("0", "nan", "-1"):
+        code, out, err = run(capsys, "--budget-seconds", budget, "enumerate", "--n", "4", "--count-only")
+        assert code == 1 and out == "", budget
+        assert err.startswith("error: budget must be a positive number") and err.count("\n") == 1
 
 
 def test_enumerate_period_cap(capsys):
@@ -377,6 +381,29 @@ def test_selftest_worker_count_does_not_change_output(capsys):
     code_b, out_b, _ = run(capsys, "--workers", "2", "selftest", "--scale", "small")
     assert code_a == code_b == 0
     assert out_a == out_b
+
+
+def test_selftest_pool_has_at_most_one_worker_per_criterion(monkeypatch):
+    # a fake pool: records its size and starts no process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [selftest.CriterionResult(i, name, True, "") for i, name, _ in jobs]
+
+    monkeypatch.setattr(selftest, "ProcessPoolExecutor", FakePool)
+    for workers in (2, len(CRITERIA), 1000):
+        assert all(r.ok for r in selftest.run_selftest("small", workers=workers))
+    assert sizes == [2, len(CRITERIA), len(CRITERIA)]
 
 
 def test_selftest_text_lines(capsys):

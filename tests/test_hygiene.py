@@ -8,6 +8,10 @@ limit: no bare ``@lru_cache``, ``lru_cache(maxsize=None)`` or
 ``functools.cache`` outside the few enumerators keyed only by a capped n.
 Cached attributes have one implementation, ``affine.cached_attribute``,
 so nothing imports ``functools.cached_property``.
+
+Every name the package exports has a caller in the package: some other
+module reads it as a name or an attribute, so no public name exists only
+for the tests.
 """
 
 import ast
@@ -127,3 +131,31 @@ def test_caches_are_bounded(path):
     unbounded, cached_property = cache_findings(path.read_text(encoding="utf-8"))
     assert [name for name in unbounded if name not in UNBOUNDED_CACHES] == []
     assert cached_property == []
+
+
+def loaded_names(source: str) -> set[str]:
+    """Names a module reads, as a bare name or as an attribute; import
+    statements, definitions and docstrings do not count."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def test_loaded_names_skip_imports_definitions_and_docstrings():
+    source = '"""f g"""\nfrom m import f, g, h\ndef k():\n    """h"""\n    return f(x.g)\n'
+    assert loaded_names(source) == {"f", "x", "g"}
+
+
+def test_every_public_name_has_a_package_caller():
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = set().union(*(loaded_names(p.read_text(encoding="utf-8")) for p in MODULES))
+    assert sorted(exported - used) == []

@@ -13,7 +13,15 @@ from itertools import permutations
 
 import pytest
 
-from oracles import ball, inversion_balance, naive_contains
+from oracles import (
+    PATTERN_3412,
+    PATTERN_4231,
+    ball,
+    contains_pattern,
+    inversion_balance,
+    naive_contains,
+    pattern_occurrence,
+)
 from schubsmooth.affine import (
     AffinePermutation,
     coset_decompose,
@@ -26,17 +34,12 @@ from schubsmooth.affine import (
 )
 from schubsmooth.errors import BudgetExceeded
 from schubsmooth.smoothness import (
-    PATTERN_3412,
-    PATTERN_4231,
     SpiralSpec,
-    contains_pattern,
     enumerate_smooth,
     is_rationally_smooth,
     is_smooth,
     is_twisted_spiral,
-    pattern_occurrence,
     spiral,
-    spiral_word,
     twisted_spiral,
 )
 
@@ -148,6 +151,9 @@ def test_enumerate_smooth_budgets():
     assert enumerate_smooth(2, max_length=0) == {identity(2)}
     with pytest.raises(BudgetExceeded, match=r"at window \d+: \d+ smooth elements found so far"):
         enumerate_smooth(3, budget_seconds=1e-9)
+    for budget in (0, -1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="budget must be a positive number of seconds"):
+            enumerate_smooth(3, budget_seconds=budget)
 
 
 # ----------------------------------------------------------------------
@@ -197,10 +203,14 @@ def test_spiral_words_are_reduced():
         for k in (2, 3):
             for i in range(n):
                 for d in ("x", "y"):
-                    spec = SpiralSpec(i, k, d)
-                    word = spiral_word(spec, n)
-                    assert len(word) == k * (n - 1)
-                    assert spiral(spec, n).length == k * (n - 1)
+                    # x(i, m) = s_{i+m-1} ... s_i and y(i, m) = s_{i-m+1} ... s_i
+                    m = k * (n - 1)
+                    if d == "x":
+                        word = [(i + m - 1 - t) % n for t in range(m)]
+                    else:
+                        word = [(i - m + 1 + t) % n for t in range(m)]
+                    w = spiral(SpiralSpec(i, k, d), n)
+                    assert w == from_word(n, word) and w.length == m
 
 
 def test_spiral_spec_validation():
