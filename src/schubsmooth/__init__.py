@@ -22,10 +22,10 @@ from .affine import (
 from .bp import (
     BPDecomposition,
     GrassmannianLabel,
+    bp_split,
     complete_bp_decomposition,
     fibre_tower,
     find_grassmannian_bp,
-    is_bp,
     is_smooth_partial,
 )
 from .errors import BudgetExceeded, MalformedDiagram, NotSmooth
@@ -62,7 +62,6 @@ from .staircase import (
     CoxGraph,
     DyckPath,
     StaircaseDiagram,
-    break_staircase,
     broken_staircases,
     cycle_decompose,
     cycle_glue,

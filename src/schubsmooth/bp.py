@@ -43,13 +43,16 @@ def _require_quotient(w: AffinePermutation, js: frozenset[int]) -> None:
         raise ValueError(f"w has right descents {sorted(bad)} in J: not in W^J")
 
 
-def is_bp(w: AffinePermutation, K: Iterable[int], J: Iterable[int] = ()) -> bool:
-    """Whether the parabolic decomposition of w along K is BP relative to J.
+def bp_split(
+    w: AffinePermutation, K: Iterable[int], J: Iterable[int] = ()
+) -> Optional[tuple[AffinePermutation, AffinePermutation]]:
+    """The parabolic decomposition w = vu along K when it is BP relative
+    to J, and None when it is not.
 
     >>> from .affine import from_word
-    >>> is_bp(from_word(4, [2, 1]), {1})
+    >>> bp_split(from_word(4, [2, 1]), {1}) is not None
     True
-    >>> is_bp(from_word(4, [1, 2]), {1})
+    >>> bp_split(from_word(4, [1, 2]), {1}) is not None
     False
     """
     ks, js = frozenset(K), frozenset(J)
@@ -60,10 +63,10 @@ def is_bp(w: AffinePermutation, K: Iterable[int], J: Iterable[int] = ()) -> bool
     _require_quotient(w, js)
     v, u = coset_decompose(w, ks)
     if not js:
-        return (v.support & ks) <= u.left_descents
+        return (v, u) if (v.support & ks) <= u.left_descents else None
     lhs = poincare_polynomial(w, js)
     rhs = poincare_polynomial(v, ks) * poincare_polynomial(u, js)
-    return lhs == rhs
+    return (v, u) if lhs == rhs else None
 
 
 def _is_maximal_factor(v: AffinePermutation, K_next: frozenset[int]) -> bool:
@@ -98,9 +101,10 @@ def find_grassmannian_bp(
         if s in w.right_descents:
             continue
         K = full - {s}
-        if not is_bp(w, K, js):
+        split = bp_split(w, K, js)
+        if split is None:
             continue
-        v, u = coset_decompose(w, K)
+        v, u = split
         if len(v.support) < n and len(u.support) < n:
             return v, u, K
         if fallback is None:
@@ -110,9 +114,9 @@ def find_grassmannian_bp(
         # maximal element of a finite parabolic: every decomposition works
         s = min(sw - js)
         K = full - {s}
-        if is_bp(w, K, js):
-            v, u = coset_decompose(w, K)
-            return v, u, K
+        split = bp_split(w, K, js)
+        if split is not None:
+            return (*split, K)
 
     return fallback
 

@@ -47,6 +47,7 @@ from .staircase import (
     from_json,
     fully_supported_path_diagrams,
     increasing_diagrams,
+    is_json_int,
     line_decompose,
     render,
     to_dyck,
@@ -73,10 +74,6 @@ def _parse_ints(text: str) -> list[int]:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
-def _is_json_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _element(args: argparse.Namespace) -> AffinePermutation:
     sources = [s for s in (args.window, args.word, args.element) if s is not None]
     if len(sources) != 1:
@@ -87,14 +84,14 @@ def _element(args: argparse.Namespace) -> AffinePermutation:
         if not isinstance(doc, dict) or "n" not in doc:
             raise ValueError("element file must hold a JSON object with an 'n' field")
         n = doc["n"]
-        if not _is_json_int(n):
+        if not is_json_int(n):
             raise ValueError(f"element file field 'n' must be an integer, got {json.dumps(n)}")
         if args.n is not None and args.n != n:
             raise ValueError(f"--n {args.n} disagrees with element file n = {n}")
         for key, build in (("window", from_window), ("word", from_word)):
             if key in doc:
                 values = doc[key]
-                if not isinstance(values, list) or not all(map(_is_json_int, values)):
+                if not isinstance(values, list) or not all(map(is_json_int, values)):
                     raise ValueError(f"element file field {key!r} must be a list of integers")
                 return build(n, values)
         raise ValueError("element file needs a 'window' or 'word' field")

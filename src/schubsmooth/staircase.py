@@ -48,10 +48,10 @@ DECREASING = "decreasing"
 class CoxGraph:
     """A path on vertices 1..n or a cycle on vertices 0..n-1.
 
-    >>> cycle_graph(4).adjacent(3, 0)
-    True
-    >>> path_graph(4).adjacent(1, 3)
-    False
+    >>> cycle_graph(4).edges()
+    [(0, 1), (1, 2), (2, 3), (3, 0)]
+    >>> path_graph(4).edges()
+    [(1, 2), (2, 3), (3, 4)]
     """
 
     kind: str
@@ -70,11 +70,6 @@ class CoxGraph:
         if self.kind == "path":
             return tuple(range(1, self.n + 1))
         return tuple(range(self.n))
-
-    def adjacent(self, u: int, v: int) -> bool:
-        if self.kind == "path":
-            return abs(u - v) == 1
-        return u != v and (u - v) % self.n in (1, self.n - 1)
 
     def edges(self) -> list[tuple[int, int]]:
         if self.kind == "path":
@@ -190,9 +185,6 @@ class StaircaseDiagram:
     def less(self, i: int, j: int) -> bool:
         return bool(self._up[i] >> j & 1)  # type: ignore[attr-defined]
 
-    def comparable(self, i: int, j: int) -> bool:
-        return i == j or self.less(i, j) or self.less(j, i)
-
     @cached_attribute
     def _linear(self) -> tuple[int, ...]:
         """All block indices bottom to top: repeatedly the lowest index with
@@ -205,11 +197,6 @@ class StaircaseDiagram:
             order.append(i)
             left ^= 1 << i
         return tuple(order)
-
-    def chain_of(self, s: int) -> tuple[int, ...]:
-        """Indices of blocks containing vertex s, in linear-extension order:
-        bottom to top when they form a chain, as axiom (2) requires."""
-        return tuple(i for i in self._linear if s in self.blocks[i])
 
     @cached_attribute
     def support(self) -> frozenset[int]:
@@ -254,29 +241,15 @@ class StaircaseDiagram:
         """Whether blocks listed in linear-extension order form a chain."""
         return all(self.less(i, j) for i, j in zip(order, order[1:]))
 
-    def is_chain(self) -> bool:
-        return self._is_chain(self._linear)
-
-    def _monotone(self, increasing: bool) -> bool:
-        if self.graph.kind != "path":
-            raise ValueError("increasing/decreasing is defined for path graphs only")
-        if not self.is_chain():
-            return False
-        order = self._linear
-        for a, b in zip(order, order[1:]):
-            lo, hi = self.blocks[a], self.blocks[b]
-            if increasing and not (min(lo) < min(hi) and max(lo) < max(hi)):
-                return False
-            if not increasing and not (min(lo) > min(hi) and max(lo) > max(hi)):
-                return False
-        return True
-
     def is_increasing(self) -> bool:
-        """A chain whose blocks move strictly rightward going up."""
-        return self._monotone(increasing=True)
-
-    def is_decreasing(self) -> bool:
-        return self._monotone(increasing=False)
+        """A chain whose blocks move strictly rightward going up; its flip
+        is the decreasing chain, moving leftward."""
+        if self.graph.kind != "path":
+            raise ValueError("increasing is defined for path graphs only")
+        if not self._is_chain(self._linear):
+            return False
+        chain = [self.blocks[i] for i in self._linear]
+        return all(min(lo) < min(hi) and max(lo) < max(hi) for lo, hi in zip(chain, chain[1:]))
 
     # -- axioms ---------------------------------------------------------
 
@@ -296,7 +269,8 @@ class StaircaseDiagram:
                     f"axiom (1): cover union {sorted(self.blocks[i])} u "
                     f"{sorted(self.blocks[j])} is disconnected"
                 )
-        # chain_of(s) for every vertex in one pass, with its blocks as a bitmask
+        # the blocks containing each vertex, in linear-extension order (bottom
+        # to top when they form a chain, as axiom (2) requires) and as a bitmask
         chains: dict[int, list[int]] = {s: [] for s in g.vertices}
         masks = dict.fromkeys(g.vertices, 0)
         for i in self._linear:
@@ -329,9 +303,6 @@ class StaircaseDiagram:
                 )
         return True, ""
 
-    def is_valid(self) -> bool:
-        return self.validate()[0]
-
 
 # ----------------------------------------------------------------------
 # JSON and rendering
@@ -351,13 +322,39 @@ def to_json(d: StaircaseDiagram) -> str:
     return json.dumps(obj)
 
 
+def is_json_int(value: object) -> bool:
+    """Whether a parsed JSON value is an integer; JSON true is a bool,
+    which Python counts as an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_ints(value: object, what: str) -> list[int]:
+    if not isinstance(value, list) or not all(map(is_json_int, value)):
+        raise ValueError(f"{what} must be a list of integers, got {json.dumps(value)}")
+    return value
+
+
 def from_json(source: Union[str, dict]) -> StaircaseDiagram:
-    """Parse the diagram JSON {"graph": {...}, "blocks": [...], "covers": [...]}."""
+    """Parse the diagram JSON {"graph": {...}, "blocks": [...], "covers": [...]}.
+    n, every block entry and every cover index must be a JSON integer.
+
+    >>> from_json('{"graph": {"kind": "path", "n": 2}, "blocks": ["12"], "covers": []}')
+    Traceback (most recent call last):
+        ...
+    schubsmooth.errors.MalformedDiagram: bad diagram JSON: a block must be a list of integers, got "12"
+    """
     try:
         obj = json.loads(source) if isinstance(source, str) else source
-        g = CoxGraph(obj["graph"]["kind"], int(obj["graph"]["n"]))
-        blocks = [frozenset(int(v) for v in b) for b in obj["blocks"]]
-        covers = [(int(i), int(j)) for i, j in obj["covers"]]
+        n = obj["graph"]["n"]
+        if not is_json_int(n):
+            raise ValueError(f"graph field 'n' must be an integer, got {json.dumps(n)}")
+        g = CoxGraph(obj["graph"]["kind"], n)
+        if not isinstance(obj["blocks"], list) or not isinstance(obj["covers"], list):
+            raise ValueError("'blocks' and 'covers' must be lists")
+        blocks = [frozenset(_json_ints(b, "a block")) for b in obj["blocks"]]
+        covers = [tuple(_json_ints(c, "a cover")) for c in obj["covers"]]
+        if any(len(c) != 2 for c in covers):
+            raise ValueError("a cover must be a pair of block indices")
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDiagram(f"bad diagram JSON: {exc}") from exc
     return StaircaseDiagram(g, blocks, covers)
@@ -469,14 +466,21 @@ def from_dyck(p: DyckPath, n: int) -> StaircaseDiagram:
     """
     if p.semilength != n:
         raise ValueError(f"path has semilength {p.semilength}, expected {n}")
+    blocks = _dyck_blocks(p)
+    covers = [(i, i + 1) for i in range(len(blocks) - 1)]
+    return StaircaseDiagram(path_graph(n), blocks, covers)
+
+
+def _dyck_blocks(p: DyckPath) -> list[frozenset[int]]:
+    """The chain of from_dyck, bottom to top: block i is {s_j : sum(u_{<i})
+    < j <= sum(r_{<=i})}, so the top block is the last u_k vertices."""
     blocks = []
     r_acc = u_acc = 0
     for r, u in p.pairs:
         r_acc += r
         blocks.append(frozenset(range(u_acc + 1, r_acc + 1)))
         u_acc += u
-    covers = [(i, i + 1) for i in range(len(blocks) - 1)]
-    return StaircaseDiagram(path_graph(n), blocks, covers)
+    return blocks
 
 
 @lru_cache(maxsize=None)
@@ -520,15 +524,13 @@ class BrokenStaircase:
             if not b or min(b) < 1 or max(b) > self.n or max(b) - min(b) + 1 != len(b):
                 raise ValueError(f"block {sorted(b)} is not an interval in 1..{self.n}")
             ends.append((min(b), max(b)))
-        united: set[int] = set()
-        for b in bl:
-            united |= b
-        if united != set(range(1, self.n + 1)):
-            raise ValueError("blocks must cover 1..n")
         head = ends[:-1] if self.is_broken else ends
         for (a1, b1), (a2, b2) in zip(head, head[1:]):
             if not (a1 < a2 <= b1 + 1 and b1 < b2):
                 raise ValueError("blocks must step strictly rightward")
+        # the head steps without gaps, so its two outer ends fix its union
+        if head[0][0] != 1 or head[-1][1] != self.n:
+            raise ValueError("blocks must cover 1..n")
         if self.is_broken:
             a_last = ends[-1][0]
             if not (ends[-2][0] < a_last and ends[-1][1] == ends[-2][1] == self.n):
@@ -548,37 +550,6 @@ class BrokenStaircase:
         return StaircaseDiagram(path_graph(self.n), self.blocks, covers)
 
 
-def _chain_blocks(d: StaircaseDiagram) -> list[frozenset[int]]:
-    if not d.is_chain():
-        raise ValueError("diagram is not a chain")
-    return sorted(d.blocks, key=min)
-
-
-def break_staircase(d: StaircaseDiagram) -> BrokenStaircase:
-    """Drop the last vertex of a fully supported monotone diagram on a path
-    with n+1 vertices, keeping the nonempty intersections.
-
-    The name avoids the reserved word; this is the breaking operation.
-    The piece keeps the diagram's direction; a single-block diagram is
-    both increasing and decreasing, and breaks as increasing.
-    """
-    if d.graph.kind != "path" or d.graph.n < 2:
-        raise ValueError("need a path diagram on at least two vertices")
-    if not d.is_fully_supported():
-        raise ValueError("diagram is not fully supported")
-    if d.is_increasing():
-        direction = INCREASING
-    elif d.is_decreasing():
-        direction = DECREASING
-    else:
-        raise ValueError("diagram is neither increasing nor decreasing")
-    n = d.graph.n - 1
-    last = d.graph.n
-    blocks = [b - {last} for b in _chain_blocks(d)]
-    blocks = [b for b in blocks if b]
-    return BrokenStaircase(n, tuple(blocks), direction)
-
-
 def unbreak(b: BrokenStaircase) -> tuple[StaircaseDiagram, ...]:
     """The 1 or 2 fully supported monotone diagrams on the path with n+1
     vertices whose break is b: extend the last block by the new vertex, or
@@ -595,13 +566,28 @@ def unbreak(b: BrokenStaircase) -> tuple[StaircaseDiagram, ...]:
 
 @lru_cache(maxsize=None)
 def broken_staircases(n: int, direction: str = INCREASING) -> tuple[BrokenStaircase, ...]:
-    """All broken staircases on n vertices with the given direction; there
-    are Catalan(n+1) - Catalan(n) of them."""
-    shapes = {tuple(break_staircase(d).blocks) for d in increasing_diagrams(n + 1)}
-    return tuple(
-        BrokenStaircase(n, shape, direction)
-        for shape in sorted(shapes, key=lambda bs: tuple(tuple(sorted(b)) for b in bs))
-    )
+    """All broken staircases on n vertices with the given direction, in
+    Dyck path order; there are Catalan(n+1) - Catalan(n) of them.
+
+    Each is the chain of a Dyck path of semilength n+1 with the vertex
+    s_{n+1} dropped.  Only the top block holds s_{n+1}: it is the last u_k
+    vertices, so the paths kept are those with u_k >= 2.  A path with
+    u_k = 1 loses its top block {s_{n+1}} and breaks to the same shape as
+    its twin, whose next-to-top block absorbs s_{n+1}; so every shape is
+    produced exactly once.
+
+    >>> [[sorted(b) for b in piece.blocks] for piece in broken_staircases(2)]
+    [[[1], [2]], [[1, 2], [2]], [[1, 2]]]
+    """
+    if n < 1:
+        raise ValueError("a broken staircase needs at least one vertex")
+    top = frozenset({n + 1})
+    pieces = []
+    for p in dyck_paths(n + 1):
+        if p.pairs[-1][1] >= 2:
+            *head, last = _dyck_blocks(p)
+            pieces.append(BrokenStaircase(n, (*head, last - top), direction))
+    return tuple(pieces)
 
 
 # ----------------------------------------------------------------------
@@ -833,8 +819,7 @@ def line_glue(
     """Inverse of line_decompose."""
     if final.graph.kind != "path" or not final.is_fully_supported() or not final.is_increasing():
         raise ValueError("final part must be a fully supported increasing path diagram")
-    chain = _chain_blocks(final)
-    tail = BrokenStaircase(final.graph.n, tuple(chain), INCREASING)
+    tail = BrokenStaircase(final.graph.n, tuple(sorted(final.blocks, key=min)), INCREASING)
     if tail.is_broken:
         raise ValueError("final part must not be broken")
     seq = tuple(pieces) + (tail,)

@@ -8,6 +8,9 @@ The generic pattern search (``pattern_occurrence``, ``contains_pattern``)
 is the one windowed search here: it looks only within 2D of each start,
 as the package's pair scan does, and is fast enough to check is_smooth on
 thousands of elements; ``naive_contains`` checks it without the window.
+
+``break_staircase`` is the breaking operation as defined, diagram by
+diagram: the package generates broken staircases from Dyck paths instead.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from functools import lru_cache
 from typing import Optional
 
 from schubsmooth.affine import AffinePermutation, from_word, identity, longest_element
+from schubsmooth.staircase import DECREASING, INCREASING, BrokenStaircase
 
 
 def ball(n: int, radius: int) -> frozenset[AffinePermutation]:
@@ -137,6 +141,27 @@ def to_element_by_factors(d) -> AffinePermutation:
         w = longest_element(period, block) * longest_element(period, inner) * w
         processed |= block
     return w
+
+
+def break_staircase(d) -> BrokenStaircase:
+    """The breaking operation by its definition: drop the last vertex of a
+    fully supported monotone diagram on a path with n+1 vertices, keeping
+    the nonempty intersections.  The piece keeps the diagram's direction; a
+    single-block diagram is both increasing and decreasing, and breaks as
+    increasing."""
+    if d.graph.kind != "path" or d.graph.n < 2:
+        raise ValueError("need a path diagram on at least two vertices")
+    if not d.is_fully_supported():
+        raise ValueError("diagram is not fully supported")
+    if d.is_increasing():
+        direction = INCREASING
+    elif d.flip().is_increasing():
+        direction = DECREASING
+    else:
+        raise ValueError("diagram is neither increasing nor decreasing")
+    last = d.graph.n
+    blocks = [b - {last} for b in sorted(d.blocks, key=min)]
+    return BrokenStaircase(last - 1, tuple(b for b in blocks if b), direction)
 
 
 def naive_contains(w: AffinePermutation, p: tuple[int, ...], slack: int = 6) -> bool:

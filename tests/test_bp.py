@@ -21,10 +21,10 @@ from schubsmooth.affine import (
 from schubsmooth.bp import (
     BPDecomposition,
     GrassmannianLabel,
+    bp_split,
     complete_bp_decomposition,
     fibre_tower,
     find_grassmannian_bp,
-    is_bp,
     is_smooth_partial,
 )
 from schubsmooth.errors import NotSmooth
@@ -40,24 +40,27 @@ def subsets(universe):
 
 def test_is_bp_equals_poincare_factorization():
     # with J empty the combinatorial criterion must agree with the
-    # defining identity P_w = P^K_v * P_u, coefficientwise
+    # defining identity P_w = P^K_v * P_u, coefficientwise, and a BP
+    # split is the parabolic decomposition itself
     for w in ball(3, 5):
         for K in subsets(range(3)):
             v, u = coset_decompose(w, K)
             identity_holds = poincare_polynomial(w) == poincare_polynomial(
                 v, K
             ) * poincare_polynomial(u)
-            assert is_bp(w, K) == identity_holds, (w.window, sorted(K))
+            split = bp_split(w, K)
+            assert (split is not None) == identity_holds, (w.window, sorted(K))
+            assert split in (None, (v, u))
 
 
 def test_is_bp_validation():
     w = from_word(3, [0, 1])
     with pytest.raises(ValueError):
-        is_bp(w, {1}, {0})  # J not inside K
+        bp_split(w, {1}, {0})  # J not inside K
     with pytest.raises(ValueError):
-        is_bp(w, {5})
+        bp_split(w, {5})
     with pytest.raises(ValueError):
-        is_bp(w, {0, 1}, {1})  # w has a right descent in J
+        bp_split(w, {0, 1}, {1})  # w has a right descent in J
 
 
 def test_find_grassmannian_bp_shape():
@@ -105,7 +108,7 @@ def test_mid_products_are_bp():
         acc = identity(3)
         for i, v in enumerate(d.factors):
             acc = acc * v
-            assert is_bp(acc, d.chain[i], d.chain[i + 1])
+            assert bp_split(acc, d.chain[i], d.chain[i + 1]) is not None
 
 
 def test_smooth_iff_complete_maximal_decomposition():

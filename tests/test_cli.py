@@ -317,6 +317,25 @@ def test_staircase_validate(capsys, diagram_files):
     assert code == 1 and err.startswith("error:")
 
 
+def test_staircase_validate_rejects_non_integers(capsys, tmp_path):
+    # each of these was once read as a valid diagram: "12" as {1, 2}, 1.7
+    # and 0.2 truncated, true and "2" taken for n
+    bad = tmp_path / "bad.json"
+    for graph, blocks, covers in (
+        ('{"kind": "path", "n": 2}', '["12"]', "[]"),
+        ('{"kind": "path", "n": 2}', "[[1.7], [2]]", "[[0, 1]]"),
+        ('{"kind": "path", "n": 2}', "[[1], [2]]", "[[0.2, 1]]"),
+        ('{"kind": "path", "n": true}', "[[1]]", "[]"),
+        ('{"kind": "path", "n": "2"}', "[[1], [2]]", "[[0, 1]]"),
+        ('{"kind": "path", "n": 2}', "{}", "[]"),
+    ):
+        bad.write_text(f'{{"graph": {graph}, "blocks": {blocks}, "covers": {covers}}}')
+        for action in ("validate", "render"):
+            code, out, err = run(capsys, "staircase", action, "--file", str(bad))
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 def test_staircase_render(capsys, diagram_files):
     code, out, _ = run(capsys, "--format", "text", "staircase", "render", "--file", str(diagram_files["valid"]))
     assert code == 0

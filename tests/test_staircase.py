@@ -18,7 +18,7 @@ import json
 
 import pytest
 
-from oracles import all_posets, order_and_covers, to_element_by_factors
+from oracles import all_posets, break_staircase, order_and_covers, to_element_by_factors
 from schubsmooth import staircase
 from schubsmooth.affine import longest_element
 from schubsmooth.errors import BudgetExceeded, MalformedDiagram
@@ -38,7 +38,6 @@ from schubsmooth.staircase import (
     CoxGraph,
     DyckPath,
     StaircaseDiagram,
-    break_staircase,
     broken_staircases,
     cycle_decompose,
     cycle_glue,
@@ -75,11 +74,10 @@ WRAP = StaircaseDiagram(
 def test_graph_basics():
     p = path_graph(4)
     assert p.vertices == (1, 2, 3, 4)
-    assert p.adjacent(2, 3) and not p.adjacent(1, 3)
     assert p.edges() == [(1, 2), (2, 3), (3, 4)]
     c = cycle_graph(4)
     assert c.vertices == (0, 1, 2, 3)
-    assert c.adjacent(3, 0) and not c.adjacent(0, 2)
+    assert c.edges() == [(0, 1), (1, 2), (2, 3), (3, 0)]
     assert cycle_graph(2).edges() == [(0, 1)]
     with pytest.raises(ValueError):
         CoxGraph("tree", 3)
@@ -129,7 +127,7 @@ def test_constructor_canonicalizes():
     assert a.covers == ((0, 1), (1, 2))
     assert a.blocks == (frozenset({1}), frozenset({2}), frozenset({3}))
     assert a.less(0, 2) and not a.less(2, 0)
-    assert a.comparable(0, 2) and a.comparable(1, 1)
+    assert a.less(0, 1) and not a.less(1, 1)
 
 
 def test_constructor_order_matches_oracle():
@@ -164,7 +162,7 @@ def test_constructor_order_matches_oracle():
 
 def test_order_queries_on_wrap_example():
     # chain A < B < C < D with blocks sorted by vertex tuple
-    assert WRAP.is_valid()
+    assert WRAP.validate()[0]
     assert WRAP.is_spherical() and WRAP.is_fully_supported()
     assert len(WRAP.blocks) == 4
     by_support = {tuple(sorted(b)): i for i, b in enumerate(WRAP.blocks)}
@@ -176,8 +174,9 @@ def test_order_queries_on_wrap_example():
     assert WRAP.less(a, d)
     hs = WRAP.heights()
     assert (hs[a], hs[b], hs[c], hs[d]) == (0, 1, 2, 3)
-    assert WRAP.chain_of(7) == (b, c)
-    assert WRAP.chain_of(3) == (a, d)
+    # the blocks containing a vertex form a chain
+    assert {i for i, blk in enumerate(WRAP.blocks) if 7 in blk} == {b, c}
+    assert {i for i, blk in enumerate(WRAP.blocks) if 3 in blk} == {a, d}
 
 
 # ----------------------------------------------------------------------
@@ -205,11 +204,11 @@ def test_axiom_violations_reported_in_order():
 
 def test_every_generated_diagram_validates():
     for d in enumerate_diagrams(path_graph(4)):
-        assert d.is_valid()
+        assert d.validate()[0]
     for d in enumerate_diagrams(cycle_graph(4)):
-        assert d.is_valid()
+        assert d.validate()[0]
     for d in increasing_diagrams(5):
-        assert d.is_valid() and d.is_increasing()
+        assert d.validate()[0] and d.is_increasing()
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +234,7 @@ def brute_force_naive(g, max_blocks):
         for chosen in itertools.combinations(blocks, k):
             for rel in posets:
                 d = StaircaseDiagram(g, chosen, tuple(rel))
-                if d.is_valid():
+                if d.validate()[0]:
                     found.add(d)
     return found
 
@@ -271,7 +270,7 @@ def brute_force_pruned(g, max_blocks):
                 if touching & ~comp:
                     continue
                 d = StaircaseDiagram(g, chosen, tuple(rel))
-                if d.is_valid():
+                if d.validate()[0]:
                     found.add(d)
     return found
 
@@ -361,7 +360,7 @@ def test_dyck_counts_and_roundtrip():
     for n in range(1, 7):
         for p in dyck_paths(n):
             d = from_dyck(p, n)
-            assert d.is_valid() and d.is_increasing() and d.is_fully_supported()
+            assert d.validate()[0] and d.is_increasing() and d.is_fully_supported()
             assert to_dyck(d) == p
     for n in range(1, 7):
         for d in increasing_diagrams(n):
@@ -404,6 +403,23 @@ def test_break_unbreak_roundtrip():
                     assert again.direction == direction or len(d.blocks) == 1
 
 
+def test_broken_staircases_match_breaking_oracle():
+    # the pieces come straight from Dyck paths: the same shapes as breaking
+    # every increasing diagram on n+1 vertices, each once, and no diagram built
+    for n in range(1, 9):
+        for direction in (INCREASING, DECREASING):
+            broken_staircases.cache_clear()
+            increasing_diagrams.cache_clear()
+            pieces = broken_staircases(n, direction)
+            assert increasing_diagrams.cache_info().currsize == 0
+            shapes = [p.blocks for p in pieces]
+            assert len(set(shapes)) == len(shapes) == catalan(n + 1) - catalan(n)
+            assert set(shapes) == {break_staircase(d).blocks for d in increasing_diagrams(n + 1)}
+            assert all(p.n == n and p.direction == direction for p in pieces)
+    with pytest.raises(ValueError):
+        broken_staircases(0)
+
+
 def test_unbreak_counts():
     # each broken shape lifts to one diagram, each staircase shape to two
     for n in range(1, 8):
@@ -417,11 +433,15 @@ def test_broken_staircase_shapes():
     assert b.is_broken
     unbroken = BrokenStaircase(2, (frozenset({1}), frozenset({2})), DECREASING)
     assert not unbroken.is_broken
-    assert unbroken.as_diagram().is_decreasing()
+    assert unbroken.as_diagram().flip().is_increasing()
     with pytest.raises(ValueError):
         BrokenStaircase(3, (frozenset({1, 3}),), INCREASING)  # not an interval
     with pytest.raises(ValueError):
         BrokenStaircase(3, (frozenset({1, 2}),), INCREASING)  # does not cover 1..3
+    with pytest.raises(ValueError):
+        BrokenStaircase(3, (frozenset({1}), frozenset({3})), INCREASING)  # a gap
+    with pytest.raises(ValueError):
+        BrokenStaircase(3, (frozenset({2, 3}),), INCREASING)  # a late start
     with pytest.raises(ValueError):
         BrokenStaircase(2, (frozenset({2}), frozenset({1})), INCREASING)
     with pytest.raises(ValueError):
@@ -522,7 +542,10 @@ def test_flip_involution_preserving_counts():
 
 def test_flip_swaps_increasing_decreasing():
     for d in increasing_diagrams(5):
-        assert d.flip().is_decreasing()
+        f = d.flip()
+        chain = [f.blocks[i] for i in f._linear]  # bottom to top
+        assert all(min(a) > min(b) and max(a) > max(b) for a, b in zip(chain, chain[1:]))
+        assert f.is_increasing() == (len(chain) == 1)
 
 
 # ----------------------------------------------------------------------
@@ -604,6 +627,18 @@ def test_from_json_errors():
         from_json('{"graph": {"kind": "path", "n": 2}}')
     with pytest.raises(MalformedDiagram):
         from_json('{"graph": {"kind": "disc", "n": 2}, "blocks": [], "covers": []}')
+    # n, block entries and cover indices must be JSON integers, in lists
+    good = {"graph": {"kind": "path", "n": 2}, "blocks": [[1], [2]], "covers": [[0, 1]]}
+    assert from_json(good) == StaircaseDiagram(path_graph(2), [[1], [2]], [(0, 1)])
+    for n in (True, "2", 2.0, None):
+        with pytest.raises(MalformedDiagram):
+            from_json({**good, "graph": {"kind": "path", "n": n}})
+    for blocks in (["12"], [[1.7], [2]], [[1], [True]], [[1], ["2"]], {"1": [1]}, "12"):
+        with pytest.raises(MalformedDiagram):
+            from_json({**good, "blocks": blocks})
+    for covers in ([[0.2, 1]], [[0, "1"]], [[False, 1]], ["01"], [[0]], {"0": 1}, ""):
+        with pytest.raises(MalformedDiagram):
+            from_json({**good, "covers": covers})
 
 
 def test_render_layout():
