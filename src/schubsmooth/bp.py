@@ -2,9 +2,20 @@
 
 For J subset K subset S and w in W^J, write w = vu with v in W^K and
 u in W_K; the decomposition is BP (relative to J) when the Poincare
-polynomials multiply, P^J_w = P^K_v * P^J_u.  For J empty this is
-equivalent to the combinatorial criterion S(v) ∩ K ⊆ D_L(u), which is what
-we test; for general J we compare the polynomials directly (capped).
+polynomials multiply, P^J_w = P^K_v * P^J_u.  For J empty, Billey and
+Postnikov (Smoothness of Schubert varieties via patterns in root
+subsystems, 2005) show this is equivalent to the combinatorial criterion
+S(v) ∩ K ⊆ D_L(u).  A general J reduces to J empty through w0(J), the
+longest element of W_J, as in Richmond-Slofstra (Math. Ann. 2016): since
+J ⊆ K, w w0(J) = v (u w0(J)) is the parabolic decomposition of w w0(J)
+along K, and P_{x w0(J)} = P^J_x * P_{w0(J)} for every x in W^J.  So
+P^J_w = P^K_v * P^J_u exactly when P_{w w0(J)} = P^K_v * P_{u w0(J)}, that
+is, exactly when S(v) ∩ K ⊆ D_L(u w0(J)).  That one descent test decides
+every J; no Bruhat interval is built.  Since u is in W^J, every left
+descent s of u is one of u w0(J) (su is in W^J too, so the length of
+s u w0(J) is that of su plus that of w0(J)).  So w0(J) is formed only when
+S(v) ∩ K holds a node outside D_L(u); for J = S that never happens, as
+w = v = e there.
 
 A BP decomposition is Grassmannian when |S(w) \\ K| = 1.  Iterating
 Grassmannian BP decompositions until the support is exhausted produces a
@@ -31,7 +42,6 @@ from .affine import (
     cycle_runs,
     longest_element,
     longest_length,
-    poincare_polynomial,
 )
 from .errors import NotSmooth
 from .smoothness import is_smooth
@@ -47,12 +57,16 @@ def bp_split(
     w: AffinePermutation, K: Iterable[int], J: Iterable[int] = ()
 ) -> Optional[tuple[AffinePermutation, AffinePermutation]]:
     """The parabolic decomposition w = vu along K when it is BP relative
-    to J, and None when it is not.
+    to J, that is when S(v) ∩ K ⊆ D_L(u w0(J)), and None when it is not.
 
     >>> from .affine import from_word
     >>> bp_split(from_word(4, [2, 1]), {1}) is not None
     True
     >>> bp_split(from_word(4, [1, 2]), {1}) is not None
+    False
+    >>> bp_split(from_word(3, [0, 1]), {0}, {0}) is not None
+    True
+    >>> bp_split(from_word(3, [1, 2]), {0, 1}, {0}) is not None
     False
     """
     ks, js = frozenset(K), frozenset(J)
@@ -62,11 +76,10 @@ def bp_split(
         raise ValueError(f"K members must be node indices in 0..{w.n - 1}")
     _require_quotient(w, js)
     v, u = coset_decompose(w, ks)
-    if not js:
-        return (v, u) if (v.support & ks) <= u.left_descents else None
-    lhs = poincare_polynomial(w, js)
-    rhs = poincare_polynomial(v, ks) * poincare_polynomial(u, js)
-    return (v, u) if lhs == rhs else None
+    rest = (v.support & ks) - u.left_descents  # D_L(u) lies in D_L(u w0(J))
+    if rest and not rest <= (u * longest_element(w.n, js)).left_descents:
+        return None
+    return v, u
 
 
 def _is_maximal_factor(v: AffinePermutation, K_next: frozenset[int]) -> bool:

@@ -65,6 +65,7 @@ def is_smooth(w: AffinePermutation) -> bool:
     Each inversion (a, d) with a in one period and d - a < 2D gets one pass
     over the positions between them, which finds a 4231 or a 3412 with
     first position a and last position d (see the module docstring).
+    When D > 2(n-1) the displacement bound settles it: w contains 3412.
 
     >>> is_smooth(from_word(3, [0, 1, 2]))
     True
@@ -72,14 +73,16 @@ def is_smooth(w: AffinePermutation) -> bool:
     False
     """
     n, win = w.n, w.window
-    width = 2 * max(abs(v - i) for i, v in enumerate(win, start=1))
-    if width == 0:
+    reach = max(abs(v - i) for i, v in enumerate(win, start=1))
+    if reach == 0:
         return True  # the identity
-    # vals[k] = w(k + 1); an occurrence starting at a <= n ends before a + width
-    vals = [win[k % n] + k // n * n for k in range(n + width - 1)]
+    if reach > 2 * (n - 1):
+        return False  # a 3412-avoider moves no integer this far (module docstring)
+    # vals[k] = w(k + 1); an occurrence starting at a <= n ends before a + 2 * reach
+    vals = [win[k % n] + k // n * n for k in range(n + 2 * reach - 1)]
     for a in range(n):
         top = vals[a]
-        for d in range(a + 3, a + width):
+        for d in range(a + 3, a + 2 * reach):
             bottom = vals[d]
             if bottom > top:
                 continue

@@ -11,6 +11,11 @@ thousands of elements; ``naive_contains`` checks it without the window.
 
 ``break_staircase`` is the breaking operation as defined, diagram by
 diagram: the package generates broken staircases from Dyck paths instead.
+
+``is_bp_by_poincare`` is the defining identity of a BP decomposition,
+P^J_w = P^K_v * P^J_u: it takes the package's parabolic split w = vu and
+counts every polynomial over subword lower sets, where the package decides
+the identity by one descent test.
 """
 
 from __future__ import annotations
@@ -20,7 +25,13 @@ from collections import Counter
 from functools import lru_cache
 from typing import Optional
 
-from schubsmooth.affine import AffinePermutation, from_word, identity, longest_element
+from schubsmooth.affine import (
+    AffinePermutation,
+    coset_decompose,
+    from_word,
+    identity,
+    longest_element,
+)
 from schubsmooth.staircase import DECREASING, INCREASING, BrokenStaircase
 
 
@@ -261,6 +272,28 @@ def subword_lower_set(w: AffinePermutation) -> frozenset[AffinePermutation]:
         sub = [word[t] for t in range(len(word)) if mask >> t & 1]
         out.add(from_word(w.n, sub))
     return frozenset(out)
+
+
+@lru_cache(maxsize=None)
+def _lower_lengths_and_descents(w: AffinePermutation) -> tuple[tuple[int, frozenset[int]], ...]:
+    return tuple((x.length, x.right_descents) for x in subword_lower_set(w))
+
+
+def poincare_by_subwords(w: AffinePermutation, J=()) -> Counter:
+    """P^J_w as a Counter of lengths: the x <= w with no right descent in J."""
+    js = frozenset(J)
+    return Counter(length for length, descents in _lower_lengths_and_descents(w) if not descents & js)
+
+
+def is_bp_by_poincare(w: AffinePermutation, K, J=()) -> bool:
+    """Whether the parabolic split w = vu along K satisfies the defining
+    identity of a BP decomposition relative to J, P^J_w = P^K_v * P^J_u."""
+    v, u = coset_decompose(w, K)
+    product: Counter = Counter()
+    for a, x in poincare_by_subwords(v, K).items():
+        for b, y in poincare_by_subwords(u, J).items():
+            product[a + b] += x * y
+    return poincare_by_subwords(w, J) == product
 
 
 @lru_cache(maxsize=None)

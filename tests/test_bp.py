@@ -9,14 +9,13 @@ import random
 
 import pytest
 
-from oracles import ball, bounded_windows, gaussian_binomial_by_subsets
+from oracles import ball, bounded_windows, gaussian_binomial_by_subsets, is_bp_by_poincare
 from schubsmooth.affine import (
     coset_decompose,
     from_window,
     from_word,
     identity,
     longest_element,
-    poincare_polynomial,
 )
 from schubsmooth.bp import (
     BPDecomposition,
@@ -39,18 +38,25 @@ def subsets(universe):
 
 
 def test_is_bp_equals_poincare_factorization():
-    # with J empty the combinatorial criterion must agree with the
-    # defining identity P_w = P^K_v * P_u, coefficientwise, and a BP
-    # split is the parabolic decomposition itself
-    for w in ball(3, 5):
-        for K in subsets(range(3)):
-            v, u = coset_decompose(w, K)
-            identity_holds = poincare_polynomial(w) == poincare_polynomial(
-                v, K
-            ) * poincare_polynomial(u)
-            split = bp_split(w, K)
-            assert (split is not None) == identity_holds, (w.window, sorted(K))
-            assert split in (None, (v, u))
+    # every proper J the element has no right descent in and every K
+    # containing it: the descent test on u w0(J) must agree with the
+    # defining identity P^J_w = P^K_v * P^J_u, and a BP split is the
+    # parabolic decomposition itself
+    triples = 0
+    for w in ball(3, 7) | ball(4, 6):
+        nodes = frozenset(range(w.n))
+        for J in subsets(nodes - w.right_descents):
+            if J == nodes:
+                continue  # only the identity; checked below
+            for extra in subsets(nodes - J):
+                K = J | extra
+                split = bp_split(w, K, J)
+                assert (split is not None) == is_bp_by_poincare(w, K, J), (w.window, sorted(J), sorted(K))
+                assert split in (None, coset_decompose(w, K))
+                triples += 1
+    assert triples == 9976
+    # J = S holds only the identity, and the test is vacuous there
+    assert bp_split(identity(3), {0, 1, 2}, {0, 1, 2}) == (identity(3), identity(3))
 
 
 def test_is_bp_validation():

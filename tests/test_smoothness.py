@@ -9,6 +9,7 @@ recognized, never smooth, always rationally smooth.
 """
 
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -191,6 +192,19 @@ def test_displacement_bound_is_attained():
         assert displacement(w) == 2 * (n - 1)
         assert not naive_contains(w, PATTERN_3412)
         assert not naive_contains(w, PATTERN_4231)
+
+
+def test_far_window_is_rejected_in_constant_memory():
+    # past the bound the displacement alone answers, so is_smooth never
+    # builds the 2D values a scan of this window would read (81 MB)
+    w = AffinePermutation(2, (1 - 10**6, 2 + 10**6))
+    tracemalloc.start()
+    try:
+        assert not is_smooth(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ----------------------------------------------------------------------
