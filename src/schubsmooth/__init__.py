@@ -79,7 +79,6 @@ from .staircase import (
     to_dyck,
     to_element,
     to_json,
-    unbreak,
 )
 
 __version__ = "0.1.0"

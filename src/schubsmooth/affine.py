@@ -231,6 +231,18 @@ def ball_levels(n: int) -> Iterator[frozenset[AffinePermutation]]:
         level = frozenset(w.times_s(i) for w in level for i in range(n) if i not in w.right_descents)
 
 
+def run_starts(n: int, mask: int) -> int:
+    """The first vertex of each maximal run of a subset of the n-cycle, with
+    subset and result as bitmasks over 0..n-1: bit v is set when v is in the
+    subset and v - 1 mod n is not.  The full cycle has none, so a subset is
+    connected exactly when at most one bit is set.
+
+    >>> bin(run_starts(6, 0b101011))  # {0, 1, 3, 5}: runs start at 3 and 5
+    '0b101000'
+    """
+    return mask & ~(mask << 1 | mask >> (n - 1))
+
+
 def cycle_runs(n: int, subset: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """Maximal runs of consecutive vertices of a subset of the n-cycle 0..n-1.
 
@@ -247,9 +259,11 @@ def cycle_runs(n: int, subset: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     if len(vs) == n:
         return (tuple(range(n)),)
     runs = []
-    for start in sorted(vs):
-        if (start - 1) % n in vs:
-            continue
+    starts = run_starts(n, sum(1 << v for v in vs))
+    while starts:
+        low = starts & -starts
+        starts ^= low
+        start = low.bit_length() - 1
         run = [start]
         v = (start + 1) % n
         while v in vs:

@@ -44,7 +44,6 @@ from .staircase import (
     path_graph,
     to_dyck,
     to_element,
-    unbreak,
 )
 
 TABLE_1 = (5, 31, 173, 891, 4373, 20833, 97333, 448663)  # a_2 .. a_9
@@ -142,7 +141,8 @@ def criterion_6(scale: str = "full") -> tuple[bool, str]:
         pieces = broken_staircases(n)
         if len(pieces) != ab[n]:
             ok = False
-        if sum(len(unbreak(b)) for b in pieces) != catalan(n + 1):
+        # a broken piece unbreaks to one diagram, an unbroken one to two
+        if sum(2 - piece.is_broken for piece in pieces) != catalan(n + 1):
             ok = False
     return ok, f"series n<=13, break/unbreak enumeration n<={enum_top}"
 

@@ -33,7 +33,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
-from .affine import AffinePermutation, cached_attribute, cycle_runs, identity, longest_element
+from .affine import (
+    AffinePermutation,
+    cached_attribute,
+    cycle_runs,
+    identity,
+    longest_element,
+    run_starts,
+)
 from .errors import BudgetExceeded, MalformedDiagram
 
 INCREASING = "increasing"
@@ -79,11 +86,16 @@ class CoxGraph:
         return [(i, (i + 1) % self.n) for i in range(self.n)]
 
     def _runs(self, subset: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+        return cycle_runs(self._cycle, subset)
+
+    @property
+    def _cycle(self) -> int:
         # a path on 1..n is the (n+1)-cycle with vertex 0 absent
-        return cycle_runs(self.n + 1 if self.kind == "path" else self.n, subset)
+        return self.n + 1 if self.kind == "path" else self.n
 
     def is_connected(self, subset: Iterable[int]) -> bool:
-        return len(self._runs(subset)) <= 1
+        starts = run_starts(self._cycle, sum(1 << v for v in set(subset)))
+        return not starts & (starts - 1)
 
     def run_order(self, subset: Iterable[int]) -> tuple[int, ...]:
         """A connected subset listed in consecutive order (cyclic runs start
@@ -119,11 +131,17 @@ class StaircaseDiagram:
     """Blocks with a partial order given by covers.
 
     The constructor canonicalizes: blocks are sorted, the supplied relation
-    pairs (indices into the block list as given) are closed transitively,
-    as one bitmask of upper blocks per block, and reduced back to covers.
-    Structural defects (empty or duplicate blocks, relation cycles, bad
-    indices) raise MalformedDiagram; axiom violations are reported by
-    validate() instead.
+    pairs (indices into the block list as given) are closed transitively
+    and reduced back to covers.  Structural defects (empty or duplicate
+    blocks, relation cycles, bad indices) raise MalformedDiagram; axiom
+    violations are reported by validate() instead.
+
+    The order is kept as two tuples of bitmasks over the sorted block
+    indices, both built once by the constructor: bit j of ``_up[i]`` is set
+    when block j lies strictly above block i, and bit j of ``_down[i]``
+    when it lies strictly below, so ``_down`` is the transpose of ``_up``.
+    Every order query (less, the linear extension, heights, the chain test
+    and the axiom checks of validate) reads these masks.
 
     >>> d = StaircaseDiagram(cycle_graph(10),
     ...     [[0, 1, 2, 3], [7, 8, 9, 0, 1], [5, 6, 7], [3, 4, 5, 6]],
@@ -149,11 +167,11 @@ class StaircaseDiagram:
         if len(set(raw)) != len(raw):
             raise MalformedDiagram("duplicate blocks")
         k = len(raw)
-        perm = sorted(range(k), key=lambda i: tuple(sorted(raw[i])))
+        keys = [tuple(sorted(b)) for b in raw]
+        perm = sorted(range(k), key=keys.__getitem__)
         pos = [0] * k
         for new, old in enumerate(perm):
             pos[old] = new
-        # up[i]: bitmask of the blocks strictly above block i (sorted indices)
         up = [0] * k
         for pair in self.covers:
             i, j = pair
@@ -167,35 +185,64 @@ class StaircaseDiagram:
             for i in range(k):
                 if up[i] & bit:
                     up[i] |= above
-        if any(up[i] >> i & 1 for i in range(k)):
-            raise MalformedDiagram("relation has a cycle: not a partial order")
+        # one pass over the closure: transpose it into down, and keep as
+        # covers the pairs that nothing lies between (bits are walked lowest
+        # first by hand; a generator per block would double the cost)
+        down = [0] * k
         covers = []
         for i in range(k):
-            above = [j for j in range(k) if up[i] >> j & 1]
-            through = 0
-            for m in above:
-                through |= up[m]
-            covers.extend((i, j) for j in above if not through >> j & 1)
+            bit, rest, through = 1 << i, up[i], 0
+            if rest & bit:
+                raise MalformedDiagram("relation has a cycle: not a partial order")
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                through |= up[j]
+                down[j] |= bit
+                rest ^= low
+            rest = up[i] & ~through
+            while rest:
+                low = rest & -rest
+                covers.append((i, low.bit_length() - 1))
+                rest ^= low
         object.__setattr__(self, "blocks", tuple(raw[i] for i in perm))
         object.__setattr__(self, "covers", tuple(covers))
         object.__setattr__(self, "_up", tuple(up))
+        object.__setattr__(self, "_down", tuple(down))
 
     # -- order queries ------------------------------------------------
 
     def less(self, i: int, j: int) -> bool:
         return bool(self._up[i] >> j & 1)  # type: ignore[attr-defined]
 
+    def _is_chain(self, mask: int) -> bool:
+        """Whether the blocks of a bitmask are pairwise comparable: each of
+        them is comparable to every block of the mask after it."""
+        up, down = self._up, self._down  # type: ignore[attr-defined]
+        while mask:
+            low = mask & -mask
+            i = low.bit_length() - 1
+            mask ^= low
+            if mask & ~(up[i] | down[i]):
+                return False
+        return True
+
     @cached_attribute
     def _linear(self) -> tuple[int, ...]:
         """All block indices bottom to top: repeatedly the lowest index with
         nothing left below it.  Every walk up the order follows this one."""
-        k = len(self.blocks)
-        down = [sum(1 << j for j in range(k) if self.less(j, i)) for i in range(k)]
-        left, order = (1 << k) - 1, []
+        down = self._down  # type: ignore[attr-defined]
+        left, order = (1 << len(down)) - 1, []
         while left:
-            i = next(i for i in range(k) if left >> i & 1 and not down[i] & left)
+            rest = left
+            while True:  # the lowest block of rest with nothing left below it
+                low = rest & -rest
+                i = low.bit_length() - 1
+                if not down[i] & left:
+                    break
+                rest ^= low
             order.append(i)
-            left ^= 1 << i
+            left ^= low
         return tuple(order)
 
     @cached_attribute
@@ -220,10 +267,10 @@ class StaircaseDiagram:
 
     def heights(self) -> tuple[int, ...]:
         """Length of a longest chain strictly below each block."""
-        k = len(self.blocks)
+        down, k = self._down, len(self.blocks)  # type: ignore[attr-defined]
         hs = [0] * k
         for i in self._linear:
-            hs[i] = max((hs[j] + 1 for j in range(k) if self.less(j, i)), default=0)
+            hs[i] = max((hs[j] + 1 for j in range(k) if down[i] >> j & 1), default=0)
         return tuple(hs)
 
     def flip(self) -> "StaircaseDiagram":
@@ -237,16 +284,12 @@ class StaircaseDiagram:
 
     # -- geometry on a path --------------------------------------------
 
-    def _is_chain(self, order: Sequence[int]) -> bool:
-        """Whether blocks listed in linear-extension order form a chain."""
-        return all(self.less(i, j) for i, j in zip(order, order[1:]))
-
     def is_increasing(self) -> bool:
         """A chain whose blocks move strictly rightward going up; its flip
         is the decreasing chain, moving leftward."""
         if self.graph.kind != "path":
             raise ValueError("increasing is defined for path graphs only")
-        if not self._is_chain(self._linear):
+        if not self._is_chain((1 << len(self.blocks)) - 1):
             return False
         chain = [self.blocks[i] for i in self._linear]
         return all(min(lo) < min(hi) and max(lo) < max(hi) for lo, hi in zip(chain, chain[1:]))
@@ -259,48 +302,62 @@ class StaircaseDiagram:
         >>> StaircaseDiagram(path_graph(3), [[1, 2]], []).validate()
         (True, '')
         """
-        g = self.graph
-        for b in self.blocks:
-            if not g.is_connected(b):
+        g, blocks = self.graph, self.blocks
+        up, down = self._up, self._down  # type: ignore[attr-defined]
+        # for each vertex s, as bitmasks over the blocks: the blocks of its
+        # chain 𝓓_s, and the blocks above some of them and below some of
+        # them; for each block, its vertices as a bitmask over the vertices
+        masks = dict.fromkeys(g.vertices, 0)
+        above, below = masks.copy(), masks.copy()
+        spans = [0] * len(blocks)
+        for i, b in enumerate(blocks):
+            span = 0
+            for s in b:
+                masks[s] |= 1 << i
+                above[s] |= up[i]
+                below[s] |= down[i]
+                span |= 1 << s
+            spans[i] = span
+        # a vertex set is connected when at most one of its runs starts
+        m = g._cycle
+        for b, span in zip(blocks, spans):
+            starts = run_starts(m, span)
+            if starts & (starts - 1):
                 return False, f"axiom (1): block {sorted(b)} is disconnected"
         for i, j in self.covers:
-            if not g.is_connected(self.blocks[i] | self.blocks[j]):
+            starts = run_starts(m, spans[i] | spans[j])
+            if starts & (starts - 1):
                 return False, (
-                    f"axiom (1): cover union {sorted(self.blocks[i])} u "
-                    f"{sorted(self.blocks[j])} is disconnected"
+                    f"axiom (1): cover union {sorted(blocks[i])} u "
+                    f"{sorted(blocks[j])} is disconnected"
                 )
-        # the blocks containing each vertex, in linear-extension order (bottom
-        # to top when they form a chain, as axiom (2) requires) and as a bitmask
-        chains: dict[int, list[int]] = {s: [] for s in g.vertices}
-        masks = dict.fromkeys(g.vertices, 0)
-        for i in self._linear:
-            for s in self.blocks[i]:
-                chains[s].append(i)
-                masks[s] |= 1 << i
-        for s in sorted(self.support):
-            if not self._is_chain(chains[s]):
+        for s, mask in masks.items():
+            if not self._is_chain(mask):
                 return False, f"axiom (2): blocks containing s_{s} are not a chain"
         for s, t in g.edges():
-            both = masks[s] | masks[t]
-            order = [i for i in self._linear if both >> i & 1]
-            if not self._is_chain(order):
+            if not self._is_chain(masks[s] | masks[t]):
                 return False, f"axiom (3): blocks meeting {{s_{s}, s_{t}}} are not a chain"
-            for mask, name in ((masks[s], s), (masks[t], t)):
-                slots = [p for p, i in enumerate(order) if mask >> i & 1]
-                if slots and slots[-1] - slots[0] + 1 != len(slots):
+            # 𝓓_s is saturated in the chain unless a block of 𝓓_t outside it
+            # lies above one of its blocks and below another
+            for name, other in ((s, t), (t, s)):
+                if above[name] & below[name] & masks[other] & ~masks[name]:
                     return False, (
                         f"axiom (3): blocks containing s_{name} are not saturated "
                         f"in the {{s_{s}, s_{t}}} chain"
                     )
-        # the vertex chains are chains by axiom (2): their ends are extremal
-        for i, b in enumerate(self.blocks):
-            is_min = any(chains[s][0] == i for s in b)
-            is_max = any(chains[s][-1] == i for s in b)
-            if not (is_min and is_max):
-                return False, (
-                    f"axiom (4): block {sorted(b)} is not both a minimum and a "
-                    f"maximum of vertex chains"
-                )
+        # by axiom (2) each 𝓓_s is a chain: its minimum is the block of it
+        # with nothing of it below, its maximum the one with nothing above
+        minima = maxima = 0
+        for s, mask in masks.items():
+            minima |= mask & ~above[s]
+            maxima |= mask & ~below[s]
+        bad = ~(minima & maxima) & ((1 << len(blocks)) - 1)
+        if bad:
+            b = blocks[(bad & -bad).bit_length() - 1]
+            return False, (
+                f"axiom (4): block {sorted(b)} is not both a minimum and a "
+                f"maximum of vertex chains"
+            )
         return True, ""
 
 
@@ -550,20 +607,6 @@ class BrokenStaircase:
         return StaircaseDiagram(path_graph(self.n), self.blocks, covers)
 
 
-def unbreak(b: BrokenStaircase) -> tuple[StaircaseDiagram, ...]:
-    """The 1 or 2 fully supported monotone diagrams on the path with n+1
-    vertices whose break is b: extend the last block by the new vertex, or
-    (when b is itself a valid staircase) append the new vertex as a block.
-    """
-    top = b.n + 1
-    extended = b.blocks[:-1] + (b.blocks[-1] | {top},)
-    out = [BrokenStaircase(top, extended, b.direction).as_diagram()]
-    if not b.is_broken:
-        appended = b.blocks + (frozenset({top}),)
-        out.append(BrokenStaircase(top, appended, b.direction).as_diagram())
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def broken_staircases(n: int, direction: str = INCREASING) -> tuple[BrokenStaircase, ...]:
     """All broken staircases on n vertices with the given direction, in
@@ -663,16 +706,17 @@ def _extremes(d: StaircaseDiagram, cyclic: bool) -> list[tuple[int, bool]]:
     each other; on a line they have one neighbour each, and a lone block,
     having none, counts as a minimum."""
     order = sorted(range(len(d.blocks)), key=lambda i: d.graph.run_order(d.blocks[i])[0])
+    up, down = d._up, d._down  # type: ignore[attr-defined]
     k = len(order)
     out = []
     for pos, i in enumerate(order):
         if cyclic:
-            neigh = [order[pos - 1], order[(pos + 1) % k]]
+            neigh = 1 << order[pos - 1] | 1 << order[(pos + 1) % k]
         else:
-            neigh = order[max(pos - 1, 0) : pos] + order[pos + 1 : pos + 2]
-        if all(d.less(i, j) for j in neigh):
+            neigh = sum(1 << j for j in order[max(pos - 1, 0) : pos + 2] if j != i)
+        if not neigh & ~up[i]:
             out.append((i, False))
-        elif all(d.less(j, i) for j in neigh):
+        elif not neigh & ~down[i]:
             out.append((i, True))
     return out
 
@@ -688,10 +732,7 @@ def _private_start(d: StaircaseDiagram, i: int) -> int:
     private = [v for v in run if v not in others]
     if not private:
         raise ValueError(f"block {sorted(d.blocks[i])} has no private vertex")
-    positions = [run.index(v) for v in private]
-    assert positions == list(range(positions[0], positions[0] + len(positions))), (
-        "private vertices of an extremal block form a run"
-    )
+    assert d.graph.is_connected(private), "private vertices of an extremal block form a run"
     return private[0]
 
 

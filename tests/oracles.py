@@ -11,6 +11,13 @@ thousands of elements; ``naive_contains`` checks it without the window.
 
 ``break_staircase`` is the breaking operation as defined, diagram by
 diagram: the package generates broken staircases from Dyck paths instead.
+``unbreak`` builds its inverse images, which the package only counts.
+
+``validate_by_chains`` checks the staircase axioms on lists: it reads the
+order only through ``less``, lists the blocks of each vertex and edge in a
+linear extension of its own and walks consecutive pairs, where the package
+tests bitmasks.  ``heights_by_chains`` finds longest chains by trying every
+subset.
 
 ``is_bp_by_poincare`` is the defining identity of a BP decomposition,
 P^J_w = P^K_v * P^J_u: it takes the package's parabolic split w = vu and
@@ -32,7 +39,7 @@ from schubsmooth.affine import (
     identity,
     longest_element,
 )
-from schubsmooth.staircase import DECREASING, INCREASING, BrokenStaircase
+from schubsmooth.staircase import DECREASING, INCREASING, BrokenStaircase, StaircaseDiagram
 
 
 def ball(n: int, radius: int) -> frozenset[AffinePermutation]:
@@ -173,6 +180,99 @@ def break_staircase(d) -> BrokenStaircase:
     last = d.graph.n
     blocks = [b - {last} for b in sorted(d.blocks, key=min)]
     return BrokenStaircase(last - 1, tuple(b for b in blocks if b), direction)
+
+
+def unbreak(b: BrokenStaircase) -> tuple[StaircaseDiagram, ...]:
+    """The 1 or 2 fully supported monotone diagrams on the path with n+1
+    vertices whose break is b: extend the last block by the new vertex, or
+    (when b is itself a valid staircase) append the new vertex as a block."""
+    top = b.n + 1
+    extended = b.blocks[:-1] + (b.blocks[-1] | {top},)
+    out = [BrokenStaircase(top, extended, b.direction).as_diagram()]
+    if not b.is_broken:
+        appended = b.blocks + (frozenset({top}),)
+        out.append(BrokenStaircase(top, appended, b.direction).as_diagram())
+    return tuple(out)
+
+
+def validate_by_chains(d) -> tuple[bool, str]:
+    """The four staircase axioms checked on lists, with the reasons of
+    StaircaseDiagram.validate: the blocks of each vertex and of each edge
+    are listed bottom to top, a list is a chain when each block lies below
+    the next, and a vertex list is saturated when its blocks sit in
+    consecutive places of the edge list."""
+    g, blocks, k = d.graph, d.blocks, len(d.blocks)
+    neighbours: dict[int, set[int]] = {v: set() for v in g.vertices}
+    for a, b in g.edges():
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+
+    def connected(vs) -> bool:
+        # walk along edges inside vs from one of its vertices
+        reached, todo = set(), list(vs)[:1]
+        while todo:
+            v = todo.pop()
+            if v not in reached:
+                reached.add(v)
+                todo.extend(neighbours[v] & vs)
+        return reached == vs
+
+    def is_chain(order) -> bool:
+        return all(d.less(i, j) for i, j in zip(order, order[1:]))
+
+    for b in blocks:
+        if not connected(b):
+            return False, f"axiom (1): block {sorted(b)} is disconnected"
+    for i, j in d.covers:
+        if not connected(blocks[i] | blocks[j]):
+            return False, (
+                f"axiom (1): cover union {sorted(blocks[i])} u "
+                f"{sorted(blocks[j])} is disconnected"
+            )
+    # fewer blocks lie below a lower block, so this is a linear extension
+    linear = sorted(range(k), key=lambda i: sum(d.less(j, i) for j in range(k)))
+    chains = {s: [i for i in linear if s in blocks[i]] for s in g.vertices}
+    for s in g.vertices:
+        if not is_chain(chains[s]):
+            return False, f"axiom (2): blocks containing s_{s} are not a chain"
+    for s, t in g.edges():
+        order = [i for i in linear if s in blocks[i] or t in blocks[i]]
+        if not is_chain(order):
+            return False, f"axiom (3): blocks meeting {{s_{s}, s_{t}}} are not a chain"
+        for name in (s, t):
+            slots = [p for p, i in enumerate(order) if name in blocks[i]]
+            if slots and slots[-1] - slots[0] + 1 != len(slots):
+                return False, (
+                    f"axiom (3): blocks containing s_{name} are not saturated "
+                    f"in the {{s_{s}, s_{t}}} chain"
+                )
+    for i, b in enumerate(blocks):
+        is_min = any(chains[s][0] == i for s in b)
+        is_max = any(chains[s][-1] == i for s in b)
+        if not (is_min and is_max):
+            return False, (
+                f"axiom (4): block {sorted(b)} is not both a minimum and a "
+                f"maximum of vertex chains"
+            )
+    return True, ""
+
+
+def heights_by_chains(k: int, order) -> tuple[int, ...]:
+    """For each of k points, the size of a largest set of points strictly
+    below it that are pairwise comparable under the strict order given as
+    a set of pairs: a longest chain below it."""
+    out = []
+    for i in range(k):
+        below = [j for j in range(k) if (j, i) in order]
+        out.append(
+            max(
+                r
+                for r in range(len(below) + 1)
+                for sub in itertools.combinations(below, r)
+                if all((a, b) in order or (b, a) in order for a, b in itertools.combinations(sub, 2))
+            )
+        )
+    return tuple(out)
 
 
 def naive_contains(w: AffinePermutation, p: tuple[int, ...], slack: int = 6) -> bool:

@@ -18,7 +18,15 @@ import json
 
 import pytest
 
-from oracles import all_posets, break_staircase, order_and_covers, to_element_by_factors
+from oracles import (
+    all_posets,
+    break_staircase,
+    heights_by_chains,
+    order_and_covers,
+    to_element_by_factors,
+    unbreak,
+    validate_by_chains,
+)
 from schubsmooth import staircase
 from schubsmooth.affine import longest_element
 from schubsmooth.errors import BudgetExceeded, MalformedDiagram
@@ -55,7 +63,6 @@ from schubsmooth.staircase import (
     to_dyck,
     to_element,
     to_json,
-    unbreak,
 )
 
 # the four-block wrap-around example used throughout: a valid spherical
@@ -158,6 +165,19 @@ def test_constructor_order_matches_oracle():
                     assert {
                         (i, j) for i in range(k) for j in range(k) if d.less(i, j)
                     } == expected[0]
+                    # the down masks are the transpose of the up masks
+                    assert d._down == tuple(
+                        sum(1 << j for j in range(k) if d._up[j] >> i & 1) for i in range(k)
+                    )
+                    # the linear extension lists each block once, after all below
+                    # it, each time the lowest index with nothing unlisted below
+                    place = {i: p for p, i in enumerate(d._linear)}
+                    assert sorted(d._linear) == list(range(k))
+                    assert all(place[i] < place[j] for i, j in expected[0])
+                    for p, i in enumerate(d._linear):
+                        left = d._linear[p:]
+                        assert i == min(j for j in left if all((b, j) not in expected[0] for b in left))
+                    assert d.heights() == heights_by_chains(k, expected[0])
 
 
 def test_order_queries_on_wrap_example():
@@ -277,6 +297,28 @@ def brute_force_pruned(g, max_blocks):
 
 def test_poset_oracle_counts():
     assert [len(all_posets(k)) for k in range(6)] == [1, 1, 3, 19, 219, 4231]
+
+
+def test_validate_matches_chain_oracle():
+    # the same verdict and reason as the list-based checker on the tier-one
+    # universe with at most four blocks, where four blocks on the 4-cycle
+    # are kept only when none nests in another, and on every diagram of the
+    # small cycles
+    reasons = set()
+    for g in (path_graph(3), cycle_graph(3), cycle_graph(4)):
+        for k in range(5):
+            for chosen in itertools.combinations(connected_blocks(g), k):
+                if k == 4 == g.n and any(a <= b or b <= a for a, b in itertools.combinations(chosen, 2)):
+                    continue
+                for rel in all_posets(k):
+                    d = StaircaseDiagram(g, chosen, tuple(rel))
+                    verdict = d.validate()
+                    assert verdict == validate_by_chains(d), (chosen, rel)
+                    reasons.add(verdict[1].split(":")[0])
+    assert reasons == {"", "axiom (1)", "axiom (2)", "axiom (3)", "axiom (4)"}
+    for n in range(2, 6):
+        for d in enumerate_diagrams(cycle_graph(n)):
+            assert d.validate() == validate_by_chains(d) == (True, "")
 
 
 def test_tiers_agree_at_small_scale():
