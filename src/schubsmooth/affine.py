@@ -258,8 +258,11 @@ def cycle_runs(n: int, subset: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     vs = subset if isinstance(subset, (set, frozenset)) else set(subset)
     if len(vs) == n:
         return (tuple(range(n)),)
+    mask = 0
+    for v in vs:
+        mask |= 1 << v
     runs = []
-    starts = run_starts(n, sum(1 << v for v in vs))
+    starts = run_starts(n, mask)
     while starts:
         low = starts & -starts
         starts ^= low

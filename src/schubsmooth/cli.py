@@ -170,8 +170,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    elements = enumerate_smooth(args.n, args.max_length, args.budget_seconds)
-    ordered = sorted(elements, key=lambda w: (w.length, w.window))
+    ordered = sorted(enumerate_smooth(args.n), key=lambda w: (w.length, w.window))
+    if args.max_length is not None:
+        ordered = [w for w in ordered if w.length <= args.max_length]
     if args.count_only:
         _emit(args, len(ordered), [str(len(ordered))], [str(len(ordered))])
         return 0
@@ -417,9 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers", type=int, default=1, help="parallelism hint; results never depend on it"
     )
-    parser.add_argument(
-        "--budget-seconds", type=float, default=None, help="abort enumeration after this long"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("smooth", help="decide smoothness of one element")
@@ -434,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list all smooth elements of the affine group")
     p.add_argument("--n", type=int, required=True, help=f"period, at most {PERIOD_MAX}")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--max-length", type=int, default=None, help="keep only lengths up to this")
+    p.add_argument("--max-length", type=int, default=None, help="print only lengths up to this")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("series", help="generating function coefficients")

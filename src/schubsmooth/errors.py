@@ -2,7 +2,7 @@
 
 
 class BudgetExceeded(RuntimeError):
-    """A computation would exceed its size cap, or its length or time budget."""
+    """A computation would exceed its size cap or its length cap."""
 
 
 class MalformedDiagram(ValueError):

@@ -97,8 +97,9 @@ def criterion_3(scale: str = "full") -> tuple[bool, str]:
 
 
 def criterion_4(scale: str = "full") -> tuple[bool, str]:
-    """Pattern-avoider counts match a_n, and to_element hits them exactly."""
-    top = _cap(scale, 5)
+    """Pattern-avoider counts match a_n for n <= 7, and to_element hits them
+    exactly for n <= 5."""
+    top = _cap(scale, 7)
     a = series_A_closed(top)
     ok = True
     details = []
@@ -106,7 +107,7 @@ def criterion_4(scale: str = "full") -> tuple[bool, str]:
         cnt = len(enumerate_smooth(n))
         details.append(f"|smooth({n})| = {cnt}")
         ok = ok and cnt == a[n]
-    for n in range(2, top + 1):
+    for n in range(2, _cap(scale, 5) + 1):
         diagrams = enumerate_diagrams(cycle_graph(n), spherical_only=True)
         image = {to_element(d) for d in diagrams}
         same = len(image) == len(diagrams) and image == set(enumerate_smooth(n))

@@ -94,7 +94,10 @@ class CoxGraph:
         return self.n + 1 if self.kind == "path" else self.n
 
     def is_connected(self, subset: Iterable[int]) -> bool:
-        starts = run_starts(self._cycle, sum(1 << v for v in set(subset)))
+        mask = 0
+        for v in subset:
+            mask |= 1 << v
+        starts = run_starts(self._cycle, mask)
         return not starts & (starts - 1)
 
     def run_order(self, subset: Iterable[int]) -> tuple[int, ...]:

@@ -9,6 +9,11 @@ is the one windowed search here: it looks only within 2D of each start,
 as the package's pair scan does, and is fast enough to check is_smooth on
 thousands of elements; ``naive_contains`` checks it without the window.
 
+``bounded_windows`` lists every window inside the displacement bound, the
+finite set the package grows its smooth elements instead of filtering,
+and ``flatten`` deletes one residue class as the growth's lifting lemma
+states it.
+
 ``break_staircase`` is the breaking operation as defined, diagram by
 diagram: the package generates broken staircases from Dyck paths instead.
 ``unbreak`` builds its inverse images, which the package only counts.
@@ -68,6 +73,26 @@ def bounded_windows(n: int) -> frozenset[AffinePermutation]:
         if sum(window) == n * (n + 1) // 2 and len({v % n for v in window}) == n:
             out.add(AffinePermutation(n, window))
     return frozenset(out)
+
+
+def flatten(w: AffinePermutation) -> AffinePermutation:
+    """Delete from w the positions congruent to n and the values congruent
+    to w(n), renumber the positions and the values that are left in
+    increasing order, and shift to window sum n(n-1)/2: an affine
+    permutation of period n - 1."""
+    n, c = w.n, w.apply(w.n)
+
+    def renumber(v: int) -> int:
+        # the kept values in (c, v] count up from 0, those in (v, c] down
+        if v > c:
+            return sum(1 for u in range(c + 1, v + 1) if (u - c) % n)
+        return -sum(1 for u in range(v + 1, c + 1) if (u - c) % n)
+
+    # positions 1..n-1 are the first n - 1 kept positions, in order
+    window = [renumber(w.apply(i)) for i in range(1, n)]
+    shift, rest = divmod(n * (n - 1) // 2 - sum(window), n - 1)
+    assert rest == 0, "the renumbered window has distinct residues mod n - 1"
+    return AffinePermutation(n - 1, tuple(v + shift for v in window))
 
 
 def components_by_adjacency(vertices, adjacent) -> frozenset[frozenset[int]]:

@@ -185,18 +185,8 @@ def test_enumerate_max_length_filters(capsys):
     assert out.splitlines() == kept and 1 < len(kept) < 31
 
 
-def test_enumerate_budget_errors(capsys):
-    code, _, err = run(capsys, "--budget-seconds", "1e-9", "enumerate", "--n", "3")
-    assert code == 1 and err.startswith("error:") and err.count("\n") == 1
-    assert "smooth elements found so far" in err
-    for budget in ("0", "nan", "-1"):
-        code, out, err = run(capsys, "--budget-seconds", budget, "enumerate", "--n", "4", "--count-only")
-        assert code == 1 and out == "", budget
-        assert err.startswith("error: budget must be a positive number") and err.count("\n") == 1
-
-
 def test_enumerate_period_cap(capsys):
-    code, out, err = run(capsys, "enumerate", "--n", "7")
+    code, out, err = run(capsys, "enumerate", "--n", "8")
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
 

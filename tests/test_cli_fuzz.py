@@ -1,9 +1,10 @@
 """The CLI contract under random input, with cli.main run in process.
 
-Windows, words, element files, --J lists and diagram files are drawn at
-random, valid or not, with periods up to 8.  Every run must exit 0 or 1,
-print exactly one JSON document on success with --format json, and end
-any failure in an error line, never in an escaping exception.
+Windows, words, element files, --J lists, diagram files and enumerate
+flags are drawn at random, valid or not, with periods up to 8.  Every run
+must exit 0 or 1, print exactly one JSON document on success with
+--format json, and end any failure in an error line, never in an
+escaping exception.
 """
 
 import contextlib
@@ -94,6 +95,18 @@ def element_commands(draw, path):
     return [command, *argv]
 
 
+@st.composite
+def enumerate_commands(draw):
+    """enumerate with a period in -1..8 (2..7 valid), maybe a length filter
+    and maybe only the count."""
+    argv = ["enumerate", "--n", str(draw(st.integers(-1, 8)))]
+    if draw(st.booleans()):
+        argv.append(f"--max-length={draw(st.integers(-2, 30))}")
+    if draw(st.booleans()):
+        argv.append("--count-only")
+    return argv
+
+
 # Valid diagrams, so that render, dyck and decompose get past validation
 DIAGRAMS = [
     json.loads(to_json(d))
@@ -144,3 +157,19 @@ def test_staircase_commands_keep_the_contract(tmp_path_factory, action, doc, cut
     text = json.dumps(doc)
     path.write_text(text[: len(text) // 2] if cut else text)
     check_contract(["staircase", action, "--file", str(path)], fmt)
+
+
+@settings(FUZZ, max_examples=50)  # a period-7 listing takes a tenth of a second
+@given(enumerate_commands(), FORMATS)
+def test_enumerate_keeps_the_contract(argv, fmt):
+    check_contract(argv, fmt)
+
+
+def test_budget_seconds_is_a_usage_error():
+    for argv in (
+        ["--budget-seconds", "5", "enumerate", "--n", "3"],
+        ["enumerate", "--n", "3", "--budget-seconds=5"],
+    ):
+        code, out, err = run_main(argv)
+        assert code == 1 and out == "", argv
+        assert "Traceback" not in err and "error:" in err.splitlines()[-1], argv

@@ -4,7 +4,9 @@ The implementation's windowed pattern scan is checked against an
 exhaustive search over a deliberately wider window, and the avoider
 counts are pinned both for finite symmetric groups and for the affine
 enumeration.  The displacement bound that makes the enumeration finite
-is checked on the oracles alone.  Twisted spirals get their own battery:
+is checked on the oracles alone, and the growth of the enumeration from
+one period to the next against the bounded product of windows and the
+flattening of small group balls.  Twisted spirals get their own battery:
 recognized, never smooth, always rationally smooth.
 """
 
@@ -18,7 +20,9 @@ from oracles import (
     PATTERN_3412,
     PATTERN_4231,
     ball,
+    bounded_windows,
     contains_pattern,
+    flatten,
     inversion_balance,
     naive_contains,
     pattern_occurrence,
@@ -33,7 +37,6 @@ from schubsmooth.affine import (
     longest_length,
     poincare_polynomial,
 )
-from schubsmooth.errors import BudgetExceeded
 from schubsmooth.smoothness import (
     SpiralSpec,
     enumerate_smooth,
@@ -147,14 +150,19 @@ def test_enumerate_smooth_budgets():
     with pytest.raises(ValueError):
         enumerate_smooth(1)
     with pytest.raises(ValueError):
-        enumerate_smooth(7)
-    assert enumerate_smooth(3, max_length=3) == {w for w in enumerate_smooth(3) if w.length <= 3}
-    assert enumerate_smooth(2, max_length=0) == {identity(2)}
-    with pytest.raises(BudgetExceeded, match=r"at window \d+: \d+ smooth elements found so far"):
-        enumerate_smooth(3, budget_seconds=1e-9)
-    for budget in (0, -1, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="budget must be a positive number of seconds"):
-            enumerate_smooth(3, budget_seconds=budget)
+        enumerate_smooth(8)
+
+
+def test_enumerate_smooth_matches_bounded_product():
+    for n in range(2, 6):
+        assert enumerate_smooth(n) == {w for w in bounded_windows(n) if is_smooth(w)}
+
+
+def test_flattening_keeps_smooth_elements_smooth():
+    smooth = [w for n, r in ((3, 9), (4, 8), (5, 6)) for w in ball(n, r) if is_smooth(w)]
+    assert len(smooth) == 538
+    for w in smooth:
+        assert flatten(w) in enumerate_smooth(w.n - 1)
 
 
 # ----------------------------------------------------------------------
