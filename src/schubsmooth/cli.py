@@ -20,7 +20,7 @@ from typing import NoReturn, Optional, Sequence
 
 from .affine import AffinePermutation, from_window, from_word
 from .bp import complete_bp_decomposition, is_smooth_partial
-from .errors import BudgetExceeded, MalformedDiagram
+from .errors import BudgetExceeded
 from .series import (
     IntSeries,
     series_A_assembled,
@@ -170,12 +170,13 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    ordered = sorted(enumerate_smooth(args.n), key=lambda w: (w.length, w.window))
+    elements = enumerate_smooth(args.n)
     if args.max_length is not None:
-        ordered = [w for w in ordered if w.length <= args.max_length]
+        elements = [w for w in elements if w.length <= args.max_length]
     if args.count_only:
-        _emit(args, len(ordered), [str(len(ordered))], [str(len(ordered))])
+        _emit(args, len(elements), [str(len(elements))], [str(len(elements))])
         return 0
+    ordered = sorted(elements, key=lambda w: (w.length, w.window))
     doc = [{"length": w.length, "window": list(w.window)} for w in ordered]
     rows = [f"{w.length}\t{','.join(map(str, w.window))}" for w in ordered]
     _emit(args, doc, rows, rows)
@@ -300,13 +301,9 @@ def _piece_doc(piece) -> dict:
 
 
 def _cmd_staircase(args: argparse.Namespace) -> int:
+    d = _load_diagram(args.file)
+    ok, reason = d.validate()
     if args.action == "validate":
-        try:
-            d = _load_diagram(args.file)
-        except MalformedDiagram as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        ok, reason = d.validate()
         doc = {"valid": ok, "reason": reason}
         _emit(
             args,
@@ -315,8 +312,6 @@ def _cmd_staircase(args: argparse.Namespace) -> int:
             [f"valid: {ok}" + (f" ({reason})" if reason else "")],
         )
         return 0
-    d = _load_diagram(args.file)
-    ok, reason = d.validate()
     if not ok:
         raise ValueError(f"diagram fails {reason}")
     if args.action == "render":

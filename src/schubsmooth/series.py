@@ -61,10 +61,6 @@ class IntSeries:
     def one(order: int) -> "IntSeries":
         return IntSeries.of(order, 1)
 
-    @staticmethod
-    def zero(order: int) -> "IntSeries":
-        return IntSeries.of(order)
-
     # -- basics ----------------------------------------------------------
 
     @property
@@ -106,9 +102,6 @@ class IntSeries:
             lo, hi = max(0, k - db), min(k, da) + 1
             out[k] = sum(map(mul, a[lo:hi], rb[n - k + lo : n - k + hi]))
         return IntSeries(tuple(out))
-
-    def scale(self, k: int) -> "IntSeries":
-        return IntSeries(tuple(k * c for c in self.coeffs))
 
     def divexact(self, k: int) -> "IntSeries":
         """Divide every coefficient by the integer k, exactly."""

@@ -20,7 +20,10 @@ increasing/decreasing diagram on Γ_{n+1} gives a broken staircase on Γ_n,
 whose last block may sit inside its predecessor; these broken pieces are
 the tiles from which every fully supported diagram on a path (line
 decomposition) or cycle (cycle decomposition, with a marked vertex) is
-glued.  The gluing bijections drive exact enumeration, and to_element maps
+glued.  Gluing is one pass over the pieces in slot order: the kept blocks
+stay in slot order, each linked to the next in its piece's direction, and
+every overhang joins the next kept block instead of being kept.  The
+gluing bijections drive exact enumeration, and to_element maps
 spherical diagrams to Weyl group elements by multiplying maximal parabolic
 coset representatives block by block.
 """
@@ -652,51 +655,34 @@ def _glue(
     labels: Sequence[int],
     cyclic: bool,
 ) -> StaircaseDiagram:
-    """Lay the pieces side by side on the labelled slots and join them.
+    """Lay the pieces side by side on the labelled slots and join them in
+    one pass.
 
-    At the seam after piece j: a broken piece merges its overhang into the
-    first block of the next piece; otherwise the seam is a cover, pointing
-    up into the peak (increasing -> decreasing) or down into the valley
-    (decreasing -> increasing) that starts the next piece.  The callers
-    have checked that directions alternate.
+    The overhang of a broken piece is carried forward and joins the first
+    block of the next piece (on a cycle, the last piece's overhang joins
+    block 0).  Every other block is kept in slot order and linked to the
+    next kept block, wrapping round on a cycle: upward when its piece
+    rises, downward when it falls.  A broken piece has two or more blocks,
+    so a block that absorbs an overhang is never carried on itself.  The
+    callers have checked that directions alternate.
     """
     assert len(labels) == sum(p.n for p in pieces)
     blocks: list[set[int]] = []
-    piece_ids: list[list[int]] = []
-    covers: set[tuple[int, int]] = set()
+    rises: list[bool] = []
+    carry: set[int] = set()
     offset = 0
     for p in pieces:
-        ids = []
-        for b in p.blocks:
-            blocks.append({labels[offset + v - 1] for v in b})
-            ids.append(len(blocks) - 1)
-        for lo, hi in zip(ids, ids[1:]):
-            covers.add((lo, hi) if p.direction == INCREASING else (hi, lo))
-        piece_ids.append(ids)
+        own = [{labels[offset + v - 1] for v in b} for b in p.blocks]
+        own[0] |= carry
+        carry = own.pop() if p.is_broken else set()
+        blocks.extend(own)
+        rises.extend([p.direction == INCREASING] * len(own))
         offset += p.n
-
-    # A broken piece has two or more blocks, so the first block of the next
-    # piece, which absorbs its overhang, is never an overhang itself: no
-    # merged block is merged onward.
-    merged: dict[int, int] = {}
-    seams = len(pieces) if cyclic else len(pieces) - 1
-    for j in range(seams):
-        a_last = piece_ids[j][-1]
-        b_first = piece_ids[(j + 1) % len(pieces)][0]
-        if pieces[j].is_broken:
-            merged[a_last] = b_first
-            blocks[b_first] |= blocks[a_last]
-        elif pieces[j].direction == INCREASING:
-            covers.add((a_last, b_first))
-        else:
-            covers.add((b_first, a_last))
-
-    kept = [i for i in range(len(blocks)) if i not in merged]
-    index = {r: i for i, r in enumerate(kept)}
-    root = [index[merged.get(i, i)] for i in range(len(blocks))]
-    final_blocks = [frozenset(blocks[r]) for r in kept]
-    final_covers = {(root[i], root[j]) for i, j in covers if root[i] != root[j]}
-    return StaircaseDiagram(graph, final_blocks, sorted(final_covers))
+    blocks[0] |= carry  # a line's final piece is never broken
+    k = len(blocks)
+    links = range(k if cyclic else k - 1)
+    covers = [(i, (i + 1) % k) if rises[i] else ((i + 1) % k, i) for i in links]
+    return StaircaseDiagram(graph, [frozenset(b) for b in blocks], covers)
 
 
 # ----------------------------------------------------------------------
@@ -936,6 +922,13 @@ def enumerate_diagrams(
     fully supported ones.  Exact and duplicate-free; n is capped (path 12,
     cycle 8) because counts grow like 4.4^n.
 
+    One loop walks the supports, by size (only the full one when
+    fully_supported_only).  The full support of a cycle gives the
+    cyclically glued diagrams, plus the one non-spherical diagram, the
+    single full block, unless spherical_only; every other support has runs,
+    and its diagrams are fully supported path diagrams side by side.  Path
+    diagrams are all spherical.
+
     >>> len(enumerate_diagrams(cycle_graph(2), spherical_only=True))
     5
     """
@@ -943,25 +936,13 @@ def enumerate_diagrams(
     if g.n > cap:
         raise BudgetExceeded(f"{g.kind} enumeration capped at n = {cap}, got {g.n}")
     out: list[StaircaseDiagram] = []
-    verts = g.vertices
-    if g.kind == "path":
-        supports: Iterable[tuple[int, ...]]
-        if fully_supported_only:
-            supports = [verts]
-        else:
-            supports = itertools.chain.from_iterable(
-                itertools.combinations(verts, r) for r in range(len(verts) + 1)
-            )
-        for sup in supports:
-            out.extend(_assemble_on_runs(g, sup))
-        return frozenset(out)
-    # cycle graph
-    out.extend(_cycle_fully_supported(g.n))
-    if not spherical_only:
-        out.append(StaircaseDiagram(g, (frozenset(verts),), ()))
-    if not fully_supported_only:
-        for r in range(len(verts)):
-            for sup in itertools.combinations(verts, r):
+    for r in [g.n] if fully_supported_only else range(g.n + 1):
+        for sup in itertools.combinations(g.vertices, r):
+            if g.kind == "cycle" and r == g.n:
+                out.extend(_cycle_fully_supported(g.n))
+                if not spherical_only:
+                    out.append(StaircaseDiagram(g, (frozenset(sup),), ()))
+            else:
                 out.extend(_assemble_on_runs(g, sup))
     return frozenset(out)
 

@@ -52,7 +52,6 @@ def test_construction_and_indexing():
     with pytest.raises(ValueError):
         s.truncate(9)
     assert IntSeries.one(2).coeffs == (1, 0, 0)
-    assert IntSeries.zero(2).coeffs == (0, 0, 0)
     # coefficients must be integers, not anything int() accepts
     with pytest.raises(TypeError):
         IntSeries.of(3, 0.5, 1.9)
@@ -67,7 +66,6 @@ def test_binary_operations_truncate_to_common_order():
     assert (a - b).coeffs == (0, -1, 1, 1)
     assert (a * b).coeffs == (1, 3, 3, 3)
     assert (-b).coeffs == (-1, -2, 0, 0)
-    assert b.scale(3).coeffs == (3, 6, 0, 0)
 
 
 def test_exact_integer_division():
@@ -178,7 +176,8 @@ def test_functional_equations():
     for n in range(1, order + 1):
         assert ab[n] == catalan(n + 1) - catalan(n)
     # the quotients, multiplied back through their denominators
-    assert (abar * (one - ab * ab)).coeffs == (ab * ab.t_derivative()).scale(2).coeffs
+    half = ab * ab.t_derivative()
+    assert (abar * (one - ab * ab)).coeffs == (half + half).coeffs
     assert (af * (one - ab)).coeffs == am.coeffs
     assert (star * IntSeries.of(order, 1, -1)).coeffs == (t * af).coeffs
 

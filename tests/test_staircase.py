@@ -345,12 +345,16 @@ def test_enumeration_matches_brute_force():
 
 
 def test_enumeration_filters_and_cap():
-    g = cycle_graph(4)
-    everything = enumerate_diagrams(g)
-    spherical = enumerate_diagrams(g, spherical_only=True)
-    full = enumerate_diagrams(g, fully_supported_only=True)
-    assert spherical == frozenset(d for d in everything if d.is_spherical())
-    assert full == frozenset(d for d in everything if d.is_fully_supported())
+    for g in (cycle_graph(4), path_graph(4)):
+        everything = enumerate_diagrams(g)
+        spherical = enumerate_diagrams(g, spherical_only=True)
+        full = enumerate_diagrams(g, fully_supported_only=True)
+        both = enumerate_diagrams(g, spherical_only=True, fully_supported_only=True)
+        assert spherical == frozenset(d for d in everything if d.is_spherical())
+        assert full == frozenset(d for d in everything if d.is_fully_supported())
+        assert both == frozenset(
+            d for d in everything if d.is_spherical() and d.is_fully_supported()
+        )
     with pytest.raises(BudgetExceeded):
         enumerate_diagrams(path_graph(13))
     with pytest.raises(BudgetExceeded):
