@@ -316,7 +316,8 @@ def coset_decompose(w: AffinePermutation, K: Iterable[int]) -> tuple[AffinePermu
     """Parabolic decomposition w = v * u with v in W^K and u in W_K.
 
     v is the minimal-length representative of the coset w W_K, so v has no
-    right descents in K, and length(w) = length(v) + length(u).
+    right descents in K, and length(w) = length(v) + length(u).  Stripping
+    right descents in K finds v, and then u = v^-1 w.
 
     >>> v, u = coset_decompose(from_word(4, [2, 1]), {1})
     >>> v.reduced_word, u.reduced_word
@@ -324,16 +325,9 @@ def coset_decompose(w: AffinePermutation, K: Iterable[int]) -> tuple[AffinePermu
     """
     ks = frozenset(K)
     v = w
-    stripped: list[int] = []
-    while True:
-        d = v.right_descents & ks
-        if not d:
-            break
-        i = min(d)
-        stripped.append(i)
-        v = v.times_s(i)
-    u = from_word(w.n, reversed(stripped))
-    return v, u
+    while d := v.right_descents & ks:
+        v = v.times_s(min(d))
+    return v, v.inverse() * w
 
 
 # Lower intervals are built only below elements of at most this length: the

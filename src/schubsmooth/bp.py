@@ -144,7 +144,6 @@ class BPDecomposition:
     """
 
     w: AffinePermutation
-    relative: frozenset[int]
     factors: tuple[AffinePermutation, ...]
     chain: tuple[frozenset[int], ...]
     maximal: tuple[bool, ...]
@@ -198,9 +197,7 @@ def complete_bp_decomposition(
         chain.append(K)
         u = u_next
     assert u.is_identity(), "W^J ∩ W_J is trivial"
-    return BPDecomposition(
-        w=w, relative=js, factors=tuple(factors), chain=tuple(chain), maximal=tuple(flags)
-    )
+    return BPDecomposition(w=w, factors=tuple(factors), chain=tuple(chain), maximal=tuple(flags))
 
 
 @dataclass(frozen=True)
@@ -218,7 +215,7 @@ class GrassmannianLabel:
     m: int
 
 
-def fibre_tower(w: AffinePermutation, J: Iterable[int] = ()) -> tuple[GrassmannianLabel, ...]:
+def fibre_tower(w: AffinePermutation) -> tuple[GrassmannianLabel, ...]:
     """Grassmannian labels of the fibre bundle tower of a smooth element.
 
     Raises NotSmooth when no complete BP decomposition into maximal coset
@@ -228,7 +225,7 @@ def fibre_tower(w: AffinePermutation, J: Iterable[int] = ()) -> tuple[Grassmanni
     >>> [(lab.a, lab.m) for lab in fibre_tower(longest_element(4, {1}))]
     [(1, 2)]
     """
-    decomp = complete_bp_decomposition(w, J)
+    decomp = complete_bp_decomposition(w)
     if decomp is None or not decomp.all_maximal():
         raise NotSmooth(f"no complete maximal BP decomposition for window {w.window}")
     return decomp.labels

@@ -7,6 +7,14 @@ order as p.  The Schubert variety of w is smooth iff w avoids both 3412 and
 element, i.e. a spiral x(i, m) or y(i, m) with m = k(n-1), k >= 2, times the
 longest element of the parabolic on S minus {s_i}.
 
+Spirals are read off their windows.  Read from the right, the letters
+s_i, s_{i+1}, ... of x(i, m) carry position i up one step each and meet
+every other position once in n - 1 letters, moving it down one: position
+i (n for i = 0) rises by m, every other position falls by k.  Mirrored,
+y(i, m) lowers position i + 1 by m and raises the others by k.  A twisted
+spiral w has D_R(w) = K = S minus {s_i}, so w = v w0(K) with the lengths
+adding and v minimal in w W_K; w0(K) is an involution, so v = w w0(K).
+
 The scan is windowed.  Put D = max_i |w(i) - i| (shift-invariant).  Any
 inversion i < j, w(i) > w(j) has j - i < 2D, and 3412 and 4231 both start
 above where they end, so every occurrence fits inside a window of width 2D.
@@ -64,14 +72,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .affine import (
-    AffinePermutation,
-    coset_decompose,
-    from_word,
-    identity,
-    longest_element,
-    longest_length,
-)
+from .affine import AffinePermutation, from_word, identity, longest_element
 
 
 def is_smooth(w: AffinePermutation) -> bool:
@@ -137,19 +138,18 @@ class SpiralSpec:
 
 
 def spiral(spec: SpiralSpec, n: int) -> AffinePermutation:
-    """The spiral element of winding count k at node i.
+    """The spiral element of winding count k at node i (module docstring).
 
     >>> spiral(SpiralSpec(0, 2, "x"), 3).reduced_word
     (0, 2, 1, 0)
     """
     if not 0 <= spec.i < n:
         raise ValueError(f"base node must be in 0..{n - 1}, got {spec.i}")
-    m = spec.k * (n - 1)
-    if spec.direction == "x":
-        word = [(spec.i + m - 1 - t) % n for t in range(m)]
-    else:
-        word = [(spec.i - m + 1 + t) % n for t in range(m)]
-    w = from_word(n, word)
+    k, m = spec.k, spec.k * (n - 1)
+    at, sign = ((spec.i - 1) % n, 1) if spec.direction == "x" else (spec.i, -1)
+    win = [p - sign * k for p in range(1, n + 1)]
+    win[at] = at + 1 + sign * m
+    w = AffinePermutation(n, tuple(win))
     assert w.length == m, "spiral words are reduced"
     return w
 
@@ -163,8 +163,8 @@ def twisted_spiral(spec: SpiralSpec, n: int) -> AffinePermutation:
 def is_twisted_spiral(w: AffinePermutation) -> bool:
     """Recognize twisted spiral elements.
 
-    A twisted spiral has right descent set S minus {s_i}; stripping the
-    longest element of that parabolic must leave a spiral with k >= 2.
+    Right descent set S minus {s_i}, and w w0(S minus {s_i}) a spiral with
+    k >= 2 (module docstring).
 
     >>> is_twisted_spiral(twisted_spiral(SpiralSpec(0, 2, "x"), 3))
     True
@@ -175,15 +175,9 @@ def is_twisted_spiral(w: AffinePermutation) -> bool:
     if len(w.right_descents) != n - 1:
         return False
     (i,) = frozenset(range(n)) - w.right_descents
-    others = frozenset(range(n)) - {i}
-    v, u = coset_decompose(w, others)
-    if u.length != longest_length(n, others):
-        return False
-    m = v.length
-    if m <= 0 or m % (n - 1) != 0 or m // (n - 1) < 2:
-        return False
-    k = m // (n - 1)
-    return any(v == spiral(SpiralSpec(i, k, d), n) for d in ("x", "y"))
+    v = w * longest_element(n, frozenset(range(n)) - {i})
+    k, rest = divmod(v.length, n - 1)
+    return rest == 0 and k >= 2 and any(v == spiral(SpiralSpec(i, k, d), n) for d in ("x", "y"))
 
 
 def is_rationally_smooth(w: AffinePermutation) -> bool:

@@ -28,6 +28,9 @@ subset.
 P^J_w = P^K_v * P^J_u: it takes the package's parabolic split w = vu and
 counts every polynomial over subword lower sets, where the package decides
 the identity by one descent test.
+
+``is_twisted_spiral_by_words`` recognizes twisted spirals through their
+reduced words, where the package reads spirals off windows.
 """
 
 from __future__ import annotations
@@ -419,6 +422,31 @@ def is_bp_by_poincare(w: AffinePermutation, K, J=()) -> bool:
         for b, y in poincare_by_subwords(u, J).items():
             product[a + b] += x * y
     return poincare_by_subwords(w, J) == product
+
+
+def is_twisted_spiral_by_words(w: AffinePermutation) -> bool:
+    """Twisted spirals by their definition, letter by letter: strip the
+    right descents in K = S minus {s_i} one at a time, require the stripped
+    letters to multiply out to w0(K), and compare what is left with the
+    spiral words x(i, m) = s_{i+m-1} ... s_i and y(i, m) = s_{i-m+1} ... s_i."""
+    n = w.n
+    if len(w.right_descents) != n - 1:
+        return False
+    (i,) = set(range(n)) - w.right_descents
+    others = frozenset(range(n)) - {i}
+    v, stripped = w, []
+    while v.right_descents & others:
+        j = min(v.right_descents & others)
+        stripped.append(j)
+        v = v.times_s(j)
+    if from_word(n, reversed(stripped)) != longest_element(n, others):
+        return False
+    k, rest = divmod(v.length, n - 1)
+    if rest or k < 2:
+        return False
+    m = k * (n - 1)
+    words = ([(i + m - 1 - t) % n for t in range(m)], [(i - m + 1 + t) % n for t in range(m)])
+    return any(v == from_word(n, word) for word in words)
 
 
 @lru_cache(maxsize=None)

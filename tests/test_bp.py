@@ -89,7 +89,6 @@ def test_complete_decomposition_of_smooth_elements():
             d = complete_bp_decomposition(w)
             assert d is not None
             assert d.all_maximal()
-            assert d.relative == frozenset()
             # factors multiply back to w, left to right
             acc = identity(n)
             for v in d.factors:
@@ -200,7 +199,6 @@ def test_bp_decomposition_container_checks():
     with pytest.raises(AssertionError):
         BPDecomposition(
             w=w,
-            relative=frozenset(),
             factors=(identity(3),),
             chain=(frozenset({1, 2}), frozenset()),
             maximal=(True,),

@@ -11,6 +11,7 @@ import pytest
 
 from schubsmooth import cli, selftest
 from schubsmooth.affine import from_window, from_word, identity
+from schubsmooth.errors import BudgetExceeded, NotSmooth
 from schubsmooth.selftest import CRITERIA, TABLE_1
 from schubsmooth.staircase import StaircaseDiagram, cycle_graph, to_json
 
@@ -413,6 +414,24 @@ def test_selftest_pool_has_at_most_one_worker_per_criterion(monkeypatch):
     for workers in (2, len(CRITERIA), 1000):
         assert all(r.ok for r in selftest.run_selftest("small", workers=workers))
     assert sizes == [2, len(CRITERIA), len(CRITERIA)]
+
+
+@pytest.mark.parametrize(
+    "exc, detail",
+    [
+        (NotSmooth("no tower"), "raised NotSmooth: no tower"),
+        (ValueError("bad n"), "raised ValueError: bad n"),
+        (AssertionError("mismatch"), "raised AssertionError: mismatch"),
+        (BudgetExceeded("cap 16"), "raised BudgetExceeded: cap 16"),
+    ],
+    ids=["NotSmooth", "ValueError", "AssertionError", "BudgetExceeded"],
+)
+def test_selftest_reports_a_raising_criterion(monkeypatch, exc, detail):
+    def criterion(scale):
+        raise exc
+
+    monkeypatch.setattr(selftest, "CRITERIA", ((1, "raises", criterion),))
+    assert selftest._run_one((1, "raises", "small")) == selftest.CriterionResult(1, "raises", False, detail)
 
 
 def test_selftest_text_lines(capsys):

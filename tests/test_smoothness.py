@@ -7,7 +7,8 @@ enumeration.  The displacement bound that makes the enumeration finite
 is checked on the oracles alone, and the growth of the enumeration from
 one period to the next against the bounded product of windows and the
 flattening of small group balls.  Twisted spirals get their own battery:
-recognized, never smooth, always rationally smooth.
+recognized, never smooth, always rationally smooth, and recognized as
+the word-by-word oracle recognizes them.
 """
 
 import random
@@ -24,6 +25,7 @@ from oracles import (
     contains_pattern,
     flatten,
     inversion_balance,
+    is_twisted_spiral_by_words,
     naive_contains,
     pattern_occurrence,
 )
@@ -221,8 +223,8 @@ def test_far_window_is_rejected_in_constant_memory():
 
 def test_spiral_words_are_reduced():
     assert spiral(SpiralSpec(0, 2, "x"), 3).reduced_word == (0, 2, 1, 0)
-    for n in (2, 3, 4):
-        for k in (2, 3):
+    for n in range(2, 7):
+        for k in (2, 3, 4):
             for i in range(n):
                 for d in ("x", "y"):
                     # x(i, m) = s_{i+m-1} ... s_i and y(i, m) = s_{i-m+1} ... s_i
@@ -271,3 +273,35 @@ def test_twisted_spiral_rejects_others():
     assert not is_twisted_spiral(spiral(SpiralSpec(0, 2, "x"), 3))
     for w in enumerate_smooth(3):
         assert not is_twisted_spiral(w)
+
+
+def test_twisted_spiral_matches_word_oracle():
+    near_identity = [w for n, r in ((2, 16), (3, 12), (4, 9), (5, 7)) for w in ball(n, r)]
+    near_spirals = []
+    for n in range(2, 7):
+        for k in (2, 3, 4):
+            for i in range(n):
+                for d in ("x", "y"):
+                    w = twisted_spiral(SpiralSpec(i, k, d), n)
+                    near_spirals += [w, spiral(SpiralSpec(i, k, d), n)]
+                    near_spirals += [w.times_s(j) for j in range(n)] + [w.s_times(j) for j in range(n)]
+    for elements, twisted in ((near_identity, 46), (near_spirals, 168)):
+        verdicts = [is_twisted_spiral(w) for w in elements]
+        assert verdicts == [is_twisted_spiral_by_words(w) for w in elements]
+        assert sum(verdicts) == twisted
+
+
+def test_long_twisted_spiral_builds_few_elements(monkeypatch):
+    # spirals are read off their windows: the cost does not grow with k
+    built = []
+    check = AffinePermutation.__post_init__
+
+    def counting_check(w):
+        built.append(w.n)
+        check(w)
+
+    monkeypatch.setattr(AffinePermutation, "__post_init__", counting_check)
+    w = twisted_spiral(SpiralSpec(1, 10**5, "y"), 4)
+    assert w.length == 300_006
+    assert is_twisted_spiral(w) and is_rationally_smooth(w) and not is_smooth(w)
+    assert len(built) <= 20
