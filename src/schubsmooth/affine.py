@@ -18,7 +18,21 @@ Length is counted by inversions between window classes,
     length(w) = sum over 1 <= i < j <= n of |floor((w(j) - w(i)) / n)|,
 
 and i is a right descent iff w(i) > w(i+1), reading w(0) = w(n) - n at the
-boundary.
+boundary.  So ws_i has length l(w) + 1 when w(i) < w(i+1) and l(w) - 1
+otherwise, and a product by s_i carries its length from w.
+
+The support S(w), the letters of any reduced word, is read off the window:
+s_i is missing from S(w) exactly when max(w(i-n+1), ..., w(i)) <= i.
+Proof: the s_j with j != i generate the stabiliser of the integers <= i,
+and by periodicity w maps them into themselves once it does so for the n
+positions i-n+1..i; into is onto, since as many integers <= i leave the set
+as enter it.
+
+For a proper subset K the minimal representative v of the coset w W_K is
+w with the values on each block of positions sorted increasingly, a block
+being a..a+m (periodically) for each run a..a+m-1 of K.  Proof: W_K
+permutes the values within each block, and the increasing arrangement is
+the only one with no right descent in K.
 """
 
 from __future__ import annotations
@@ -110,16 +124,18 @@ class AffinePermutation:
         return AffinePermutation(n, tuple(win))
 
     def times_s(self, i: int) -> "AffinePermutation":
-        """Right multiplication by the simple reflection s_i."""
+        """Right multiplication by the simple reflection s_i.  A length
+        already known is carried to the product as length +- 1."""
         n = self.n
         if not 0 <= i < n:
             raise ValueError(f"reflection index must be in 0..{n - 1}, got {i}")
         w = list(self.window)
-        if i == 0:
-            w[0], w[n - 1] = w[n - 1] - n, w[0] + n
-        else:
-            w[i - 1], w[i] = w[i], w[i - 1]
-        return AffinePermutation(n, tuple(w))
+        _swap(w, i)
+        out = AffinePermutation(n, tuple(w))
+        length = self.__dict__.get("length")
+        if length is not None:
+            out.__dict__["length"] = length + 1 if _rises(self.window, i) else length - 1
+        return out
 
     def s_times(self, i: int) -> "AffinePermutation":
         """Left multiplication by s_i: swap the values i, i+1 mod n."""
@@ -155,11 +171,8 @@ class AffinePermutation:
     @cached_attribute
     def right_descents(self) -> frozenset[int]:
         """Indices i with w(i) > w(i+1), reading w(0) = w(n) - n."""
-        n, win = self.n, self.window
-        out = {i for i in range(1, n) if win[i - 1] > win[i]}
-        if win[n - 1] - n > win[0]:
-            out.add(0)
-        return frozenset(out)
+        win = self.window
+        return frozenset(i for i in range(self.n) if not _rises(win, i))
 
     @cached_attribute
     def left_descents(self) -> frozenset[int]:
@@ -172,28 +185,46 @@ class AffinePermutation:
         >>> from_word(3, [2, 1]).reduced_word
         (2, 1)
         """
+        n, win = self.n, list(self.window)
         letters: list[int] = []
-        w = self
-        while True:
-            d = w.right_descents
-            if not d:
-                break
-            i = min(d)
+        while (i := next((j for j in range(n) if not _rises(win, j)), None)) is not None:
             letters.append(i)
-            w = w.times_s(i)
+            _swap(win, i)
         return tuple(reversed(letters))
 
     @cached_attribute
     def support(self) -> frozenset[int]:
-        """The set of letters appearing in any reduced word."""
-        return frozenset(self.reduced_word)
+        """The set of letters appearing in any reduced word: the i with
+        max(w(i-n+1), ..., w(i)) > i.
+
+        >>> sorted(from_word(4, [2, 3, 2]).support)
+        [2, 3]
+        """
+        n, win = self.n, self.window
+        return frozenset(i for i in range(n) if max(win[i:]) - n > i or max(win[:i], default=i) > i)
 
     def __repr__(self) -> str:
         return f"AffinePermutation({self.n}, {self.window})"
 
 
 def identity(n: int) -> AffinePermutation:
-    return AffinePermutation(n, tuple(range(1, n + 1)))
+    e = AffinePermutation(n, tuple(range(1, n + 1)))
+    e.__dict__["length"] = 0
+    return e
+
+
+def _rises(window: Sequence[int], i: int) -> bool:
+    """Whether i is not a right descent: w(i) < w(i+1), with w(0) = w(n) - n."""
+    return window[i - 1] - (0 if i else len(window)) < window[i]
+
+
+def _swap(window: list[int], i: int) -> None:
+    """Right multiplication by s_i, in place on a window."""
+    if i:
+        window[i - 1], window[i] = window[i], window[i - 1]
+    else:
+        n = len(window)
+        window[0], window[n - 1] = window[n - 1] - n, window[0] + n
 
 
 def from_window(n: int, window: Sequence[int]) -> AffinePermutation:
@@ -316,18 +347,33 @@ def coset_decompose(w: AffinePermutation, K: Iterable[int]) -> tuple[AffinePermu
     """Parabolic decomposition w = v * u with v in W^K and u in W_K.
 
     v is the minimal-length representative of the coset w W_K, so v has no
-    right descents in K, and length(w) = length(v) + length(u).  Stripping
-    right descents in K finds v, and then u = v^-1 w.
+    right descents in K, and length(w) = length(v) + length(u).  Each run
+    a..a+m-1 of a proper K permutes the positions a..a+m, so v sorts the
+    values of w on each such block, and u sends the block position holding
+    the j-th smallest value to the j-th position of the block.  When K holds
+    every node, v = e and u = w.
 
     >>> v, u = coset_decompose(from_word(4, [2, 1]), {1})
     >>> v.reduced_word, u.reduced_word
     ((2,), (1,))
     """
+    n = w.n
     ks = frozenset(K)
-    v = w
-    while d := v.right_descents & ks:
-        v = v.times_s(min(d))
-    return v, v.inverse() * w
+    if any(not 0 <= k < n for k in ks):
+        raise ValueError(f"K members must be node indices in 0..{n - 1}")
+    if len(ks) == n:
+        return identity(n), w
+    vwin, uwin = list(w.window), list(range(1, n + 1))
+    for run in cycle_runs(n, ks):
+        a = run[0]
+        positions = range(a, a + len(run) + 1)
+        values = sorted((w.apply(p), p) for p in positions)
+        for (value, p), target in zip(values, positions):
+            q, r = divmod(target - 1, n)
+            vwin[r] = value - q * n
+            q, r = divmod(p - 1, n)
+            uwin[r] = target - q * n
+    return AffinePermutation(n, tuple(vwin)), AffinePermutation(n, tuple(uwin))
 
 
 # Lower intervals are built only below elements of at most this length: the
@@ -339,14 +385,11 @@ INTERVAL_CAP = 16
 def _lower_interval(w: AffinePermutation) -> frozenset[AffinePermutation]:
     if w.length > INTERVAL_CAP:
         raise BudgetExceeded(f"interval of an element of length {w.length} exceeds cap {INTERVAL_CAP}")
+    # each letter extends every x with an ascent there; the start e has
+    # length 0, so times_s carries the length of every element built
     elems: set[AffinePermutation] = {identity(w.n)}
     for i in w.reduced_word:
-        extra = set()
-        for x in elems:
-            y = x.times_s(i)
-            if y.length > x.length:
-                extra.add(y)
-        elems |= extra
+        elems |= {x.times_s(i) for x in elems if _rises(x.window, i)}
     return frozenset(elems)
 
 
@@ -364,7 +407,7 @@ def bruhat_lower_interval(w: AffinePermutation, J: Iterable[int] = ()) -> frozen
     interval = _lower_interval(w)
     if not js:
         return interval
-    return frozenset(x for x in interval if not (x.right_descents & js))
+    return frozenset(x for x in interval if all(_rises(x.window, j) for j in js))
 
 
 def poincare_polynomial(w: AffinePermutation, J: Iterable[int] = ()) -> Polynomial:

@@ -31,6 +31,10 @@ the identity by one descent test.
 
 ``is_twisted_spiral_by_words`` recognizes twisted spirals through their
 reduced words, where the package reads spirals off windows.
+
+``coset_decompose_by_stripping`` finds the minimal coset representative by
+stripping right descents in K one letter at a time, where the package sorts
+the window on each block of positions.
 """
 
 from __future__ import annotations
@@ -422,6 +426,16 @@ def is_bp_by_poincare(w: AffinePermutation, K, J=()) -> bool:
         for b, y in poincare_by_subwords(u, J).items():
             product[a + b] += x * y
     return poincare_by_subwords(w, J) == product
+
+
+def coset_decompose_by_stripping(w: AffinePermutation, K) -> tuple[AffinePermutation, AffinePermutation]:
+    """w = v * u with v in W^K and u in W_K: strip the smallest right
+    descent in K until none is left, which leaves v, and set u = v^-1 w."""
+    ks = frozenset(K)
+    v = w
+    while v.right_descents & ks:
+        v = v.times_s(min(v.right_descents & ks))
+    return v, v.inverse() * w
 
 
 def is_twisted_spiral_by_words(w: AffinePermutation) -> bool:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from oracles import (
     ball,
     components_by_adjacency,
+    coset_decompose_by_stripping,
     length_by_inversions,
     longest_element_by_word,
     product_by_apply,
@@ -238,6 +239,22 @@ def test_coset_decompose():
             assert not (v.right_descents & K)
             assert u.support <= K
             assert coset_decompose(v, K) == (v, identity(3))
+    for K in ({3}, {-1}, {0, 5}):
+        with pytest.raises(ValueError, match="node indices in 0..2"):
+            coset_decompose(from_word(3, [0, 1]), K)
+
+
+def test_coset_decompose_and_support_match_stripping_oracle():
+    # every K, the full cycle included, against letter-by-letter stripping;
+    # the support read off the window against the letters of a reduced word
+    pairs = 0
+    for w in ball(2, 12) | ball(3, 9) | ball(4, 7) | ball(5, 5):
+        assert w.support == frozenset(w.reduced_word), w.window
+        for mask in range(1 << w.n):
+            K = {v for v in range(w.n) if mask >> v & 1}
+            assert coset_decompose(w, K) == coset_decompose_by_stripping(w, K), (w.window, K)
+            pairs += 1
+    assert pairs == 13_940
 
 
 # ----------------------------------------------------------------------
@@ -256,12 +273,25 @@ def test_bruhat_lower_interval():
     assert max(x.length for x in interval) == w.length
     assert [x for x in interval if x.length == w.length] == [w]
     assert len(interval) == poincare_polynomial(w)(1)
-    restricted = bruhat_lower_interval(w, {1})
-    assert restricted == frozenset(x for x in interval if 1 not in x.right_descents)
     long = from_word(2, [0, 1] * 8 + [0])  # reduced: the infinite dihedral group
     assert long.length == 17
     with pytest.raises(BudgetExceeded, match="length 17 exceeds cap 16"):
         bruhat_lower_interval(long)
+    # the J filter reads ascents off windows: it keeps x with D_R(x) ∩ J = ∅
+    for top in ball(3, 5) | ball(4, 3):
+        lower = bruhat_lower_interval(top)
+        for mask in range(1 << top.n):
+            J = {v for v in range(top.n) if mask >> v & 1}
+            restricted = frozenset(x for x in lower if not x.right_descents & J)
+            assert bruhat_lower_interval(top, J) == restricted, (top.window, J)
+
+
+def test_interval_elements_carry_their_lengths():
+    # lengths are carried through the interval walk, never recounted
+    for w in ball(3, 6) | ball(4, 5):
+        for x in bruhat_lower_interval(w):
+            assert "length" in x.__dict__
+            assert x.length == length_by_inversions(x), (w.window, x.window)
 
 
 def test_poincare_polynomial_counts_interval_by_length():

@@ -4,6 +4,7 @@ smooth <=> complete-maximal equivalence on a ball, and fibre towers whose
 Grassmannian dimensions add up to the length.
 """
 
+import functools
 import itertools
 import random
 
@@ -11,6 +12,7 @@ import pytest
 
 from oracles import ball, bounded_windows, gaussian_binomial_by_subsets, is_bp_by_poincare
 from schubsmooth.affine import (
+    AffinePermutation,
     coset_decompose,
     from_window,
     from_word,
@@ -177,6 +179,26 @@ def test_fibre_tower_frozen_examples():
     assert fibre_tower(identity(3)) == ()
     with pytest.raises(NotSmooth):
         fibre_tower(twisted_spiral(SpiralSpec(0, 2, "x"), 3))
+
+
+def test_long_twisted_spiral_decomposes_from_few_elements(monkeypatch):
+    # support and parabolic factors are read off windows: the cost of a
+    # complete decomposition does not grow with the length
+    built = []
+    check = AffinePermutation.__post_init__
+
+    def counting_check(w):
+        built.append(w.n)
+        check(w)
+
+    monkeypatch.setattr(AffinePermutation, "__post_init__", counting_check)
+    w = twisted_spiral(SpiralSpec(1, 10**5, "y"), 4)
+    assert w.length == 300_006
+    d = complete_bp_decomposition(w)
+    assert len(built) <= 20
+    assert [v.length for v in d.factors] == [300_000, 3, 2, 1]
+    assert d.maximal == (False, True, True, True)
+    assert functools.reduce(lambda x, y: x * y, d.factors) == w
 
 
 def test_is_smooth_partial():

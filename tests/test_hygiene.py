@@ -165,7 +165,6 @@ def test_every_public_name_has_a_package_caller():
 
 # Public methods with no caller in the package, and why they stay.
 UNCALLED_METHODS = {
-    "AffinePermutation.apply": "the test oracles read w(i) through it",
     "AffinePermutation.s_times": "bench/tracing.py wraps it by name",
     "_Parser.error": "argparse calls it on a usage error",
 }
