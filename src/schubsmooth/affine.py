@@ -208,9 +208,7 @@ class AffinePermutation:
 
 
 def identity(n: int) -> AffinePermutation:
-    e = AffinePermutation(n, tuple(range(1, n + 1)))
-    e.__dict__["length"] = 0
-    return e
+    return AffinePermutation(n, tuple(range(1, n + 1)))
 
 
 def _rises(window: Sequence[int], i: int) -> bool:
@@ -385,9 +383,11 @@ INTERVAL_CAP = 16
 def _lower_interval(w: AffinePermutation) -> frozenset[AffinePermutation]:
     if w.length > INTERVAL_CAP:
         raise BudgetExceeded(f"interval of an element of length {w.length} exceeds cap {INTERVAL_CAP}")
-    # each letter extends every x with an ascent there; the start e has
-    # length 0, so times_s carries the length of every element built
-    elems: set[AffinePermutation] = {identity(w.n)}
+    # each letter extends every x with an ascent there; e starts with its
+    # length 0 stored, so times_s carries the length of every element built
+    e = identity(w.n)
+    e.__dict__["length"] = 0
+    elems: set[AffinePermutation] = {e}
     for i in w.reduced_word:
         elems |= {x.times_s(i) for x in elems if _rises(x.window, i)}
     return frozenset(elems)
