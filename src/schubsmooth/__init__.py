@@ -70,6 +70,7 @@ from .staircase import (
     enumerate_diagrams,
     from_dyck,
     from_json,
+    fully_supported_cycle_diagrams,
     fully_supported_path_diagrams,
     increasing_diagrams,
     line_decompose,

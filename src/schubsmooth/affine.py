@@ -115,13 +115,7 @@ class AffinePermutation:
         return AffinePermutation(n, tuple([win[(v - 1) % n] + (v - 1) // n * n for v in other.window]))
 
     def inverse(self) -> "AffinePermutation":
-        n = self.n
-        win = [0] * n
-        for i, v in enumerate(self.window, start=1):
-            r = (v - 1) % n
-            q = (v - 1 - r) // n
-            win[r] = i - q * n
-        return AffinePermutation(n, tuple(win))
+        return AffinePermutation(self.n, tuple(_inverse_window(self.window)))
 
     def times_s(self, i: int) -> "AffinePermutation":
         """Right multiplication by the simple reflection s_i.  A length
@@ -176,7 +170,9 @@ class AffinePermutation:
 
     @cached_attribute
     def left_descents(self) -> frozenset[int]:
-        return self.inverse().right_descents
+        """The right descents of w⁻¹, read off its window; no element is built."""
+        inv = _inverse_window(self.window)
+        return frozenset(i for i in range(self.n) if not _rises(inv, i))
 
     @cached_attribute
     def reduced_word(self) -> tuple[int, ...]:
@@ -214,6 +210,16 @@ def identity(n: int) -> AffinePermutation:
 def _rises(window: Sequence[int], i: int) -> bool:
     """Whether i is not a right descent: w(i) < w(i+1), with w(0) = w(n) - n."""
     return window[i - 1] - (0 if i else len(window)) < window[i]
+
+
+def _inverse_window(window: Sequence[int]) -> list[int]:
+    """The window of w⁻¹: w(i) = qn + r + 1 with 0 <= r < n gives w⁻¹(r + 1) = i - qn."""
+    n = len(window)
+    inv = [0] * n
+    for i, v in enumerate(window, start=1):
+        q, r = divmod(v - 1, n)
+        inv[r] = i - q * n
+    return inv
 
 
 def _swap(window: list[int], i: int) -> None:

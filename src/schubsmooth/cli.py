@@ -22,7 +22,6 @@ from .affine import AffinePermutation, from_window, from_word
 from .bp import complete_bp_decomposition, is_smooth_partial
 from .errors import BudgetExceeded
 from .series import (
-    IntSeries,
     series_A_assembled,
     series_A_closed,
     series_AB,
@@ -45,6 +44,7 @@ from .staircase import (
     cycle_graph,
     enumerate_diagrams,
     from_json,
+    fully_supported_cycle_diagrams,
     fully_supported_path_diagrams,
     increasing_diagrams,
     is_json_int,
@@ -187,38 +187,21 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 # series
 
 
-def _series_formula(which: str, order: int) -> IntSeries:
-    table = {
-        "A": series_A_closed,
-        "AM": series_AM,
-        "AB": series_AB,
-        "AF": series_AF,
-        "ABAR": series_Abar,
-        "ASTAR": series_Astar,
-    }
-    return table[which](order)
-
-
-def _series_enumerated(which: str, n: int) -> int:
-    if which == "A":
-        return len(enumerate_diagrams(cycle_graph(n), spherical_only=True))
-    if which == "AM":
-        return len(increasing_diagrams(n))
-    if which == "AB":
-        return len(broken_staircases(n))
-    if which == "AF":
-        return len(fully_supported_path_diagrams(n))
-    if which == "ABAR":
-        return len(
-            enumerate_diagrams(cycle_graph(n), spherical_only=True, fully_supported_only=True)
-        )
-    if which == "ASTAR":
-        return sum(len(fully_supported_path_diagrams(k)) for k in range(1, n))
-    raise ValueError(f"unknown series {which!r}")
+# Each series: its closed formula, its count by enumeration at one n, and
+# the first n counted (a cycle needs two vertices).
+SERIES = {
+    "A": (series_A_closed, lambda n: len(enumerate_diagrams(cycle_graph(n), spherical_only=True)), 2),
+    "AM": (series_AM, lambda n: len(increasing_diagrams(n)), 1),
+    "AB": (series_AB, lambda n: len(broken_staircases(n)), 1),
+    "AF": (series_AF, lambda n: len(fully_supported_path_diagrams(n)), 1),
+    "ABAR": (series_Abar, lambda n: len(fully_supported_cycle_diagrams(n)), 2),
+    "ASTAR": (series_Astar, lambda n: sum(len(fully_supported_path_diagrams(k)) for k in range(1, n)), 1),
+}
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
     which = args.which
+    formula, count, first = SERIES[which]
     order = args.order
     if order < 1:
         raise ValueError("--order must be at least 1")
@@ -238,16 +221,13 @@ def _cmd_series(args: argparse.Namespace) -> int:
     columns: dict[str, dict[int, int]] = {}
     for method in methods:
         if method == "closed":
-            s = _series_formula(which, order)
+            s = formula(order)
             columns["closed"] = {n: s[n] for n in range(1, order + 1)}
         elif method == "assembled":
             s = series_A_assembled(order)
             columns["assembled"] = {n: s[n] for n in range(1, order + 1)}
         else:
-            lo = 2 if which in ("A", "ABAR") else 1
-            columns["enumerate"] = {
-                n: _series_enumerated(which, n) for n in range(lo, min(order, cap) + 1)
-            }
+            columns["enumerate"] = {n: count(n) for n in range(first, min(order, cap) + 1)}
     primary = columns.get("closed") or columns.get("assembled") or columns["enumerate"]
     mismatches = []
     names = sorted(columns)
@@ -431,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("series", help="generating function coefficients")
-    p.add_argument("--which", choices=("A", "AM", "AB", "AF", "ABAR", "ASTAR"), required=True)
+    p.add_argument("--which", choices=tuple(SERIES), required=True)
     p.add_argument(
         "--order", type=int, required=True, help=f"last coefficient (at most {SERIES_ORDER_MAX})"
     )

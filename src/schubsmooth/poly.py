@@ -23,8 +23,6 @@ class Polynomial:
     """Coefficients stored low degree first, trailing zeros trimmed.
 
     >>> p = Polynomial.of(1, 2, 2, 1)
-    >>> p.degree
-    3
     >>> p.is_palindromic()
     True
     >>> (p * Polynomial.of(1, 1)).coeffs
@@ -53,11 +51,6 @@ class Polynomial:
             return cls.zero()
         top = max(counts)
         return cls(tuple(counts.get(k, 0) for k in range(top + 1)))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial given degree -1."""
-        return len(self.coeffs) - 1
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs

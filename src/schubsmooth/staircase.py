@@ -22,10 +22,13 @@ the tiles from which every fully supported diagram on a path (line
 decomposition) or cycle (cycle decomposition, with a marked vertex) is
 glued.  Gluing is one pass over the pieces in slot order: the kept blocks
 stay in slot order, each linked to the next in its piece's direction, and
-every overhang joins the next kept block instead of being kept.  The
-gluing bijections drive exact enumeration, and to_element maps
-spherical diagrams to Weyl group elements by multiplying maximal parabolic
-coset representatives block by block.
+every overhang joins the next kept block instead of being kept.  Cutting,
+its inverse, is one routine for lines and cycles: a path is the cycle with
+s_0 absent.  The gluing bijections drive fully_supported_path_diagrams and
+fully_supported_cycle_diagrams, from which enumerate_diagrams assembles
+every diagram, and to_element maps spherical diagrams to Weyl group
+elements by multiplying maximal parabolic coset representatives block by
+block.
 """
 
 from __future__ import annotations
@@ -48,6 +51,12 @@ from .errors import BudgetExceeded, MalformedDiagram
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
+
+# Largest n that enumeration accepts, by graph kind: counts grow like 4.4^n.
+ENUM_MAX = {"path": 12, "cycle": 8}
+# Largest n a diagram file may give: the constructor and validate build
+# one entry per vertex, so a huge n would exhaust memory before any check.
+DIAGRAM_N_MAX = 1000
 
 
 # ----------------------------------------------------------------------
@@ -399,7 +408,8 @@ def _json_ints(value: object, what: str) -> list[int]:
 
 def from_json(source: Union[str, dict]) -> StaircaseDiagram:
     """Parse the diagram JSON {"graph": {...}, "blocks": [...], "covers": [...]}.
-    n, every block entry and every cover index must be a JSON integer.
+    n, every block entry and every cover index must be a JSON integer, and
+    n is at most DIAGRAM_N_MAX.
 
     >>> from_json('{"graph": {"kind": "path", "n": 2}, "blocks": ["12"], "covers": []}')
     Traceback (most recent call last):
@@ -411,6 +421,8 @@ def from_json(source: Union[str, dict]) -> StaircaseDiagram:
         n = obj["graph"]["n"]
         if not is_json_int(n):
             raise ValueError(f"graph field 'n' must be an integer, got {json.dumps(n)}")
+        if n > DIAGRAM_N_MAX:
+            raise ValueError(f"graph field 'n' must be at most {DIAGRAM_N_MAX}, got {n}")
         g = CoxGraph(obj["graph"]["kind"], n)
         if not isinstance(obj["blocks"], list) or not isinstance(obj["covers"], list):
             raise ValueError("'blocks' and 'covers' must be lists")
@@ -686,7 +698,7 @@ def _glue(
 
 
 # ----------------------------------------------------------------------
-# Cycle decomposition
+# Cycle and line decompositions
 
 
 def _extremes(d: StaircaseDiagram, cyclic: bool) -> list[tuple[int, bool]]:
@@ -744,16 +756,34 @@ def _restrict_piece(
     return BrokenStaircase(len(interval), tuple(b for b, _ in local), direction)
 
 
+def _cut(d: StaircaseDiagram, cyclic: bool) -> list[tuple[list[int], BrokenStaircase]]:
+    """The inverse of _glue: (vertex interval, piece) pairs in cut order.
+
+    Each extremal block is cut at its private start, and its piece runs to
+    the next cut: down from a maximum, up from a minimum.  A line stops at
+    its last minimum, and its last piece runs up to the absent vertex 0.
+    """
+    ext = _extremes(d, cyclic)
+    if not cyclic:
+        ext = ext[: max(p for p, (_, is_max) in enumerate(ext) if not is_max) + 1]
+    m = d.graph._cycle
+    starts = [_private_start(d, i) for i, _ in ext]
+    ends = starts[1:] + [starts[0] if cyclic else 0]
+    out = []
+    for (_, is_max), start, end in zip(ext, starts, ends):
+        interval = [(start + t) % m for t in range((end - start) % m or m)]
+        out.append((interval, _restrict_piece(d, interval, DECREASING if is_max else INCREASING)))
+    return out
+
+
 def cycle_decompose(
     d: StaircaseDiagram,
 ) -> tuple[tuple[BrokenStaircase, ...], int]:
     """Cut a fully supported spherical cycle diagram into broken staircases.
 
-    Cuts happen at the first private vertex of each extremal block; the
-    piece starting at a maximal block descends, the piece starting at a
-    minimal block ascends, so directions alternate around the cycle.  The
-    pieces are rotated so the one containing s_{n-1} comes last, and the
-    1-based position of s_{n-1} in that piece is returned as the mark.
+    The cuts of _cut alternate in direction around the cycle.  The pieces
+    are rotated so the one containing s_{n-1} comes last, and the 1-based
+    position of s_{n-1} in that piece is returned as the mark.
     """
     if d.graph.kind != "cycle":
         raise ValueError("cycle decomposition needs a cycle diagram")
@@ -762,16 +792,8 @@ def cycle_decompose(
     if not d.is_spherical():
         raise ValueError("diagram is not spherical")
     n = d.graph.n
-    ext = _extremes(d, cyclic=True)
-    assert len(ext) % 2 == 0 and ext, "extremal blocks alternate around the cycle"
-    cuts = [(_private_start(d, i), is_max) for i, is_max in ext]
-    pieces = []
-    for j, (c, is_max) in enumerate(cuts):
-        nxt = cuts[(j + 1) % len(cuts)][0]
-        span = (nxt - c) % n or n
-        interval = [(c + t) % n for t in range(span)]
-        direction = DECREASING if is_max else INCREASING
-        pieces.append((interval, _restrict_piece(d, interval, direction)))
+    pieces = _cut(d, cyclic=True)
+    assert len(pieces) % 2 == 0 and pieces, "extremal blocks alternate around the cycle"
     last = next(j for j, (iv, _) in enumerate(pieces) if (n - 1) in iv)
     rotated = pieces[last + 1 :] + pieces[: last + 1]
     mark = rotated[-1][0].index(n - 1) + 1
@@ -800,19 +822,15 @@ def cycle_glue(pieces: Sequence[BrokenStaircase], mark: int) -> StaircaseDiagram
     return _glue(cycle_graph(n), pieces, labels, cyclic=True)
 
 
-# ----------------------------------------------------------------------
-# Line decomposition
-
-
 def line_decompose(
     d: StaircaseDiagram,
 ) -> tuple[tuple[BrokenStaircase, ...], StaircaseDiagram]:
     """Cut a fully supported path diagram into broken staircases followed
     by one increasing staircase.
 
-    Cuts happen at the first private vertex of each extremal block, up to
-    the last minimal one; a diagram that ends on a descent therefore ends
-    with a decreasing broken piece followed by a single-block staircase.
+    _cut stops at the last minimal block; a diagram that ends on a descent
+    therefore ends with a decreasing broken piece followed by a
+    single-block staircase.
 
     >>> d = StaircaseDiagram(path_graph(2), [[1], [2]], [(1, 0)])
     >>> pieces, final = line_decompose(d)
@@ -823,24 +841,14 @@ def line_decompose(
         raise ValueError("line decomposition needs a path diagram")
     if not d.is_fully_supported():
         raise ValueError("diagram is not fully supported")
-    n = d.graph.n
-    ext = _extremes(d, cyclic=False)
-    m = max(p for p, (_, is_max) in enumerate(ext) if not is_max) + 1
-    cuts = [_private_start(d, i) for i, _ in ext[:m]]
-    assert cuts and cuts[0] == 1, "the leftmost block owns vertex 1"
-    pieces = []
-    for j in range(m - 1):
-        interval = list(range(cuts[j], cuts[j + 1]))
-        direction = DECREASING if ext[j][1] else INCREASING
-        pieces.append(_restrict_piece(d, interval, direction))
-    final_iv = list(range(cuts[m - 1], n + 1))
-    final_piece = _restrict_piece(d, final_iv, INCREASING)
-    assert not final_piece.is_broken, "the final piece is a staircase"
-    final = final_piece.as_diagram()
-    assert tuple(p.direction for p in pieces) == _directions(len(pieces) + 1, INCREASING)[:-1], (
+    cut = _cut(d, cyclic=False)
+    assert cut[0][0][0] == 1, "the leftmost block owns vertex 1"
+    *pieces, final = (p for _, p in cut)
+    assert not final.is_broken, "the final piece is a staircase"
+    assert tuple(p.direction for p in pieces) == _directions(len(cut), INCREASING)[:-1], (
         "piece directions alternate back from the end"
     )
-    return tuple(pieces), final
+    return tuple(pieces), final.as_diagram()
 
 
 def line_glue(
@@ -892,10 +900,16 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _cycle_fully_supported(n: int) -> tuple[StaircaseDiagram, ...]:
+def fully_supported_cycle_diagrams(n: int) -> tuple[StaircaseDiagram, ...]:
     """All fully supported spherical diagrams on the cycle with n vertices,
     generated by cyclic gluing of an even number of broken pieces with a
-    marked vertex in the last one."""
+    marked vertex in the last one; n is capped by ENUM_MAX.
+
+    >>> len(fully_supported_cycle_diagrams(3))
+    18
+    """
+    if n > ENUM_MAX["cycle"]:
+        raise BudgetExceeded(f"cycle enumeration capped at n = {ENUM_MAX['cycle']}, got {n}")
     out = []
     for parts in range(2, n + 1, 2):
         for comp in _compositions(n, parts):
@@ -913,33 +927,28 @@ def _cycle_fully_supported(n: int) -> tuple[StaircaseDiagram, ...]:
     return result
 
 
-def enumerate_diagrams(
-    g: CoxGraph,
-    spherical_only: bool = False,
-    fully_supported_only: bool = False,
-) -> frozenset[StaircaseDiagram]:
-    """Every staircase diagram on g, optionally restricted to spherical or
-    fully supported ones.  Exact and duplicate-free; n is capped (path 12,
-    cycle 8) because counts grow like 4.4^n.
+def enumerate_diagrams(g: CoxGraph, *, spherical_only: bool = False) -> frozenset[StaircaseDiagram]:
+    """Every staircase diagram on g, optionally only the spherical ones.
+    Exact and duplicate-free; n is capped by ENUM_MAX.
 
-    One loop walks the supports, by size (only the full one when
-    fully_supported_only).  The full support of a cycle gives the
-    cyclically glued diagrams, plus the one non-spherical diagram, the
+    One loop walks the supports, by size, and reads each from a family
+    enumerator.  The full support of a cycle gives
+    fully_supported_cycle_diagrams, plus the one non-spherical diagram, the
     single full block, unless spherical_only; every other support has runs,
-    and its diagrams are fully supported path diagrams side by side.  Path
+    and its diagrams are fully_supported_path_diagrams side by side.  Path
     diagrams are all spherical.
 
     >>> len(enumerate_diagrams(cycle_graph(2), spherical_only=True))
     5
     """
-    cap = 12 if g.kind == "path" else 8
+    cap = ENUM_MAX[g.kind]
     if g.n > cap:
         raise BudgetExceeded(f"{g.kind} enumeration capped at n = {cap}, got {g.n}")
     out: list[StaircaseDiagram] = []
-    for r in [g.n] if fully_supported_only else range(g.n + 1):
+    for r in range(g.n + 1):
         for sup in itertools.combinations(g.vertices, r):
             if g.kind == "cycle" and r == g.n:
-                out.extend(_cycle_fully_supported(g.n))
+                out.extend(fully_supported_cycle_diagrams(g.n))
                 if not spherical_only:
                     out.append(StaircaseDiagram(g, (frozenset(sup),), ()))
             else:

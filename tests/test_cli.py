@@ -257,8 +257,16 @@ def test_series_enumeration_cap(capsys):
         assert (code, out) == (1, "") and "--enum-cap" in err
 
 
+@pytest.mark.parametrize("which", tuple(cli.SERIES))
+def test_series_methods_agree(capsys, which):
+    code, out, err = run(capsys, "series", "--which", which, "--order", "6", "--method", "all", "--diff")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["mismatches"] == []
+
+
 def test_series_diff_detects_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_series_enumerated", lambda which, n: 999)
+    formula, _, first = cli.SERIES["AM"]
+    monkeypatch.setitem(cli.SERIES, "AM", (formula, lambda n: 999, first))
     code, out, _ = run(capsys, "series", "--which", "AM", "--order", "3", "--method", "all", "--diff")
     assert code == 2
     doc = json.loads(out)
@@ -325,6 +333,18 @@ def test_staircase_validate_rejects_non_integers(capsys, tmp_path):
             code, out, err = run(capsys, "staircase", action, "--file", str(bad))
             assert code == 1 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_staircase_rejects_a_huge_graph(capsys, tmp_path):
+    # the constructor and validate hold one entry per vertex, so without a
+    # cap on n this file would take memory linear in n
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"graph": {"kind": "cycle", "n": 1000000000}, "blocks": [[0]], "covers": []}')
+    for action in ("validate", "render"):
+        code, out, err = run(capsys, "staircase", action, "--file", str(huge))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "at most 1000" in err
 
 
 def test_staircase_render(capsys, diagram_files):

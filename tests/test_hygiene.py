@@ -66,7 +66,7 @@ UNBOUNDED_CACHES = {
     "increasing_diagrams": "keyed by n; path enumeration caps n at 12",
     "broken_staircases": "keyed by n and one of two directions; n is at most 12",
     "fully_supported_path_diagrams": "keyed by n; path enumeration caps n at 12",
-    "_cycle_fully_supported": "keyed by n; cycle enumeration caps n at 8",
+    "fully_supported_cycle_diagrams": "keyed by n; cycle enumeration caps n at 8",
 }
 
 

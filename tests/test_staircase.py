@@ -54,6 +54,7 @@ from schubsmooth.staircase import (
     enumerate_diagrams,
     from_dyck,
     from_json,
+    fully_supported_cycle_diagrams,
     fully_supported_path_diagrams,
     increasing_diagrams,
     line_decompose,
@@ -348,17 +349,24 @@ def test_enumeration_filters_and_cap():
     for g in (cycle_graph(4), path_graph(4)):
         everything = enumerate_diagrams(g)
         spherical = enumerate_diagrams(g, spherical_only=True)
-        full = enumerate_diagrams(g, fully_supported_only=True)
-        both = enumerate_diagrams(g, spherical_only=True, fully_supported_only=True)
         assert spherical == frozenset(d for d in everything if d.is_spherical())
-        assert full == frozenset(d for d in everything if d.is_fully_supported())
-        assert both == frozenset(
-            d for d in everything if d.is_spherical() and d.is_fully_supported()
-        )
+    # each fully supported family is the matching subset of the whole
+    for n in range(2, 6):
+        everything = enumerate_diagrams(cycle_graph(n))
+        family = fully_supported_cycle_diagrams(n)
+        assert len(set(family)) == len(family)
+        assert set(family) == {d for d in everything if d.is_spherical() and d.is_fully_supported()}
+    for n in range(1, 6):
+        everything = enumerate_diagrams(path_graph(n))
+        family = fully_supported_path_diagrams(n)
+        assert len(set(family)) == len(family)
+        assert set(family) == {d for d in everything if d.is_fully_supported()}
     with pytest.raises(BudgetExceeded):
         enumerate_diagrams(path_graph(13))
     with pytest.raises(BudgetExceeded):
         enumerate_diagrams(cycle_graph(9))
+    with pytest.raises(BudgetExceeded):
+        fully_supported_cycle_diagrams(staircase.ENUM_MAX["cycle"] + 1)
 
 
 # ----------------------------------------------------------------------
@@ -378,8 +386,7 @@ def test_counts_match_series():
     for n in range(1, 8):
         assert len(fully_supported_path_diagrams(n)) == af[n]
     for n in range(2, 7):
-        got = len(enumerate_diagrams(cycle_graph(n), spherical_only=True, fully_supported_only=True))
-        assert got == abar[n]
+        assert len(fully_supported_cycle_diagrams(n)) == abar[n]
     for n in range(2, 7):
         assert len(enumerate_diagrams(cycle_graph(n), spherical_only=True)) == a[n]
     # a few values pinned independently of the series module
@@ -524,7 +531,7 @@ def test_cycle_decompose_wrap_example():
 
 def test_cycle_glue_decompose_inverse():
     for n in range(2, 6):
-        for d in enumerate_diagrams(cycle_graph(n), spherical_only=True, fully_supported_only=True):
+        for d in fully_supported_cycle_diagrams(n):
             pieces, mark = cycle_decompose(d)
             assert sum(p.n for p in pieces) == n
             assert 1 <= mark <= pieces[-1].n
