@@ -19,7 +19,8 @@ Length is counted by inversions between window classes,
 
 and i is a right descent iff w(i) > w(i+1), reading w(0) = w(n) - n at the
 boundary.  So ws_i has length l(w) + 1 when w(i) < w(i+1) and l(w) - 1
-otherwise, and a product by s_i carries its length from w.
+otherwise, which lets a walk over windows track lengths without counting
+inversions.
 
 The support S(w), the letters of any reduced word, is read off the window:
 s_i is missing from S(w) exactly when max(w(i-n+1), ..., w(i)) <= i.
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded
@@ -118,18 +118,13 @@ class AffinePermutation:
         return AffinePermutation(self.n, tuple(_inverse_window(self.window)))
 
     def times_s(self, i: int) -> "AffinePermutation":
-        """Right multiplication by the simple reflection s_i.  A length
-        already known is carried to the product as length +- 1."""
+        """Right multiplication by the simple reflection s_i."""
         n = self.n
         if not 0 <= i < n:
             raise ValueError(f"reflection index must be in 0..{n - 1}, got {i}")
         w = list(self.window)
         _swap(w, i)
-        out = AffinePermutation(n, tuple(w))
-        length = self.__dict__.get("length")
-        if length is not None:
-            out.__dict__["length"] = length + 1 if _rises(self.window, i) else length - 1
-        return out
+        return AffinePermutation(n, tuple(w))
 
     def s_times(self, i: int) -> "AffinePermutation":
         """Left multiplication by s_i: swap the values i, i+1 mod n."""
@@ -380,40 +375,41 @@ def coset_decompose(w: AffinePermutation, K: Iterable[int]) -> tuple[AffinePermu
     return AffinePermutation(n, tuple(vwin)), AffinePermutation(n, tuple(uwin))
 
 
-# Lower intervals are built only below elements of at most this length: the
-# interval of an element of length l can hold up to 2**l elements.
+# Lower intervals are walked only below elements of at most this length:
+# the interval of an element of length l can hold up to 2**l elements.
 INTERVAL_CAP = 16
 
 
-@lru_cache(maxsize=512)  # one benchmark queries pass fills about 400 entries
-def _lower_interval(w: AffinePermutation) -> frozenset[AffinePermutation]:
-    if w.length > INTERVAL_CAP:
-        raise BudgetExceeded(f"interval of an element of length {w.length} exceeds cap {INTERVAL_CAP}")
-    # each letter extends every x with an ascent there; e starts with its
-    # length 0 stored, so times_s carries the length of every element built
-    e = identity(w.n)
-    e.__dict__["length"] = 0
-    elems: set[AffinePermutation] = {e}
-    for i in w.reduced_word:
-        elems |= {x.times_s(i) for x in elems if _rises(x.window, i)}
-    return frozenset(elems)
-
-
-def bruhat_lower_interval(w: AffinePermutation, J: Iterable[int] = ()) -> frozenset[AffinePermutation]:
-    """All x <= w lying in W^J (no right descents in J).
+def bruhat_lower_interval(w: AffinePermutation, J: Iterable[int] = ()) -> dict[tuple[int, ...], int]:
+    """The x <= w lying in W^J (no right descents in J), as a new dict from
+    the window of each x to its length.
 
     Every x <= w has a reduced word occurring as a subword of one fixed
-    reduced word of w, so a left-to-right scan keeping length-increasing
-    products collects the whole lower interval.
+    reduced word of w, so a left-to-right scan that extends every window
+    with an ascent at the current letter collects the whole lower interval;
+    each extension adds 1 to the length.  No element is built.
 
-    >>> len(bruhat_lower_interval(longest_element(4, {1, 2}), ()))
-    6
+    >>> w = from_word(4, [1, 2])
+    >>> sorted(bruhat_lower_interval(w).items())
+    [((1, 2, 3, 4), 0), ((1, 3, 2, 4), 1), ((2, 1, 3, 4), 1), ((2, 3, 1, 4), 2)]
+    >>> sorted(bruhat_lower_interval(w, {1}).values())
+    [0, 1, 2]
     """
+    if w.length > INTERVAL_CAP:
+        raise BudgetExceeded(f"interval of an element of length {w.length} exceeds cap {INTERVAL_CAP}")
+    lengths = {tuple(range(1, w.n + 1)): 0}
+    for i in w.reduced_word:
+        grown = {}
+        for x, length in lengths.items():
+            if _rises(x, i):
+                y = list(x)
+                _swap(y, i)
+                grown[tuple(y)] = length + 1
+        lengths.update(grown)
     js = frozenset(J)
-    interval = _lower_interval(w)
     if not js:
-        return interval
-    return frozenset(x for x in interval if all(_rises(x.window, j) for j in js))
+        return lengths
+    return {x: length for x, length in lengths.items() if all(_rises(x, j) for j in js)}
 
 
 def poincare_polynomial(w: AffinePermutation, J: Iterable[int] = ()) -> Polynomial:
@@ -425,5 +421,4 @@ def poincare_polynomial(w: AffinePermutation, J: Iterable[int] = ()) -> Polynomi
     js = frozenset(J)
     if w.right_descents & js:
         raise ValueError(f"w has right descents {sorted(w.right_descents & js)} in J: not in W^J")
-    counts = Counter(x.length for x in bruhat_lower_interval(w, js))
-    return Polynomial.from_length_counts(counts)
+    return Polynomial.from_length_counts(Counter(bruhat_lower_interval(w, js).values()))

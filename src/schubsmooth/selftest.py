@@ -150,7 +150,7 @@ def criterion_6(scale: str = "full") -> tuple[bool, str]:
 def criterion_7(scale: str = "full") -> tuple[bool, str]:
     """P_w is the product of [m choose a]_q over the fibre tower of every
     smooth w: each level is a Grassmannian Gr(a, m)."""
-    n_top = _cap(scale, 4)
+    n_top = _cap(scale, 5)
     checked = 0
     ok = True
     for n in range(2, n_top + 1):
@@ -187,23 +187,30 @@ def criterion_8(scale: str = "full") -> tuple[bool, str]:
 
 
 def criterion_9(scale: str = "full") -> tuple[bool, str]:
-    """Palindromic Poincaré polynomial == smooth or twisted spiral (n = 3)."""
-    len_top = _cap(scale, 10)
-    checked, ok = 0, True
-    for level in itertools.islice(ball_levels(3), 1, len_top + 1):
-        for w in level:
-            pal = poincare_polynomial(w).is_palindromic()
-            if pal != (is_smooth(w) or is_twisted_spiral(w)):
-                ok = False
-            checked += 1
+    """Palindromic Poincaré polynomial == smooth or twisted spiral (n = 3,
+    and n = 4 at full scale, through the first twisted spirals at length 12)."""
+    reach = {3: _cap(scale, 10)}
+    if scale == "full":
+        reach[4] = 12
+    checked, spirals, ok = 0, 0, True
+    for n, len_top in reach.items():
+        for level in itertools.islice(ball_levels(n), 1, len_top + 1):
+            for w in level:
+                pal = poincare_polynomial(w).is_palindromic()
+                spiral = is_twisted_spiral(w)
+                if pal != (is_smooth(w) or spiral):
+                    ok = False
+                checked += 1
+                spirals += spiral
     ts = twisted_spiral(SpiralSpec(0, 2, "x"), 3)
     spiral_ok = (
         ts.length == 7
         and poincare_polynomial(ts).is_palindromic()
         and not is_smooth(ts)
     )
+    through = ", ".join(f"length {top} at n = {n}" for n, top in reach.items())
     return ok and spiral_ok, (
-        f"{checked} elements through length {len_top}; "
+        f"{checked} elements through {through}, {spirals} twisted spirals; "
         f"twisted spiral l=7 palindromic-not-smooth: {spiral_ok}"
     )
 

@@ -53,10 +53,18 @@ INCREASING = "increasing"
 DECREASING = "decreasing"
 
 # Largest n that enumeration accepts, by graph kind: counts grow like 4.4^n.
-ENUM_MAX = {"path": 12, "cycle": 8}
+# Nine is the largest path any package caller needs (criterion 6 breaks
+# staircases on nine vertices); fully_supported_path_diagrams(9) already
+# takes about 190 MB.
+ENUM_MAX = {"path": 9, "cycle": 8}
 # Largest n a diagram file may give: the constructor and validate build
 # one entry per vertex, so a huge n would exhaust memory before any check.
 DIAGRAM_N_MAX = 1000
+
+
+def _check_cap(kind: str, n: int) -> None:
+    if n > ENUM_MAX[kind]:
+        raise BudgetExceeded(f"{kind} enumeration capped at n = {ENUM_MAX[kind]}, got {n}")
 
 
 # ----------------------------------------------------------------------
@@ -561,7 +569,8 @@ def _dyck_blocks(p: DyckPath) -> list[frozenset[int]]:
 @lru_cache(maxsize=None)
 def increasing_diagrams(n: int) -> tuple[StaircaseDiagram, ...]:
     """All fully supported increasing diagrams on the path with n vertices;
-    there are Catalan(n) of them."""
+    there are Catalan(n) of them; n is capped by ENUM_MAX."""
+    _check_cap("path", n)
     if n == 0:
         return ()
     return tuple(from_dyck(p, n) for p in dyck_paths(n))
@@ -628,7 +637,8 @@ class BrokenStaircase:
 @lru_cache(maxsize=None)
 def broken_staircases(n: int, direction: str = INCREASING) -> tuple[BrokenStaircase, ...]:
     """All broken staircases on n vertices with the given direction, in
-    Dyck path order; there are Catalan(n+1) - Catalan(n) of them.
+    Dyck path order; there are Catalan(n+1) - Catalan(n) of them, and n is
+    capped by ENUM_MAX.
 
     Each is the chain of a Dyck path of semilength n+1 with the vertex
     s_{n+1} dropped.  Only the top block holds s_{n+1}: it is the last u_k
@@ -642,6 +652,7 @@ def broken_staircases(n: int, direction: str = INCREASING) -> tuple[BrokenStairc
     """
     if n < 1:
         raise ValueError("a broken staircase needs at least one vertex")
+    _check_cap("path", n)
     top = frozenset({n + 1})
     pieces = []
     for p in dyck_paths(n + 1):
@@ -874,7 +885,9 @@ def line_glue(
 @lru_cache(maxsize=None)
 def fully_supported_path_diagrams(n: int) -> tuple[StaircaseDiagram, ...]:
     """All fully supported diagrams on the path with n vertices, generated
-    by gluing broken pieces onto a final increasing staircase."""
+    by gluing broken pieces onto a final increasing staircase; n is capped
+    by ENUM_MAX."""
+    _check_cap("path", n)
     out = []
     for parts in range(1, n + 1):
         for comp in _compositions(n, parts):
@@ -908,8 +921,7 @@ def fully_supported_cycle_diagrams(n: int) -> tuple[StaircaseDiagram, ...]:
     >>> len(fully_supported_cycle_diagrams(3))
     18
     """
-    if n > ENUM_MAX["cycle"]:
-        raise BudgetExceeded(f"cycle enumeration capped at n = {ENUM_MAX['cycle']}, got {n}")
+    _check_cap("cycle", n)
     out = []
     for parts in range(2, n + 1, 2):
         for comp in _compositions(n, parts):
@@ -941,9 +953,7 @@ def enumerate_diagrams(g: CoxGraph, *, spherical_only: bool = False) -> frozense
     >>> len(enumerate_diagrams(cycle_graph(2), spherical_only=True))
     5
     """
-    cap = ENUM_MAX[g.kind]
-    if g.n > cap:
-        raise BudgetExceeded(f"{g.kind} enumeration capped at n = {cap}, got {g.n}")
+    _check_cap(g.kind, g.n)
     out: list[StaircaseDiagram] = []
     for r in range(g.n + 1):
         for sup in itertools.combinations(g.vertices, r):

@@ -19,6 +19,7 @@ from oracles import (
     coset_decompose_by_stripping,
     length_by_inversions,
     longest_element_by_word,
+    poincare_by_subwords,
     product_by_apply,
     subword_lower_set,
 )
@@ -261,37 +262,49 @@ def test_coset_decompose_and_support_match_stripping_oracle():
 # Bruhat order and Poincare polynomials
 
 
+def lower_by_subwords(w, J=()):
+    """The oracle's interval in the walk's form: window -> length, on W^J."""
+    js = frozenset(J)
+    return {x.window: x.length for x in subword_lower_set(w) if not x.right_descents & js}
+
+
 def test_bruhat_matches_subword_oracle():
-    for w in ball(3, 5):
-        assert bruhat_lower_interval(w) == subword_lower_set(w), w.window
+    # every J, the empty and the full set included
+    for w in ball(3, 5) | ball(4, 3):
+        for mask in range(1 << w.n):
+            J = {v for v in range(w.n) if mask >> v & 1}
+            assert bruhat_lower_interval(w, J) == lower_by_subwords(w, J), (w.window, J)
 
 
 def test_bruhat_lower_interval():
     w = longest_element(4, {1, 2})
     interval = bruhat_lower_interval(w)
-    assert interval == subword_lower_set(w)
-    assert max(x.length for x in interval) == w.length
-    assert [x for x in interval if x.length == w.length] == [w]
+    assert interval == lower_by_subwords(w)
+    assert max(interval.values()) == w.length
+    assert [x for x, length in interval.items() if length == w.length] == [w.window]
     assert len(interval) == poincare_polynomial(w)(1)
     long = from_word(2, [0, 1] * 8 + [0])  # reduced: the infinite dihedral group
     assert long.length == 17
     with pytest.raises(BudgetExceeded, match="length 17 exceeds cap 16"):
         bruhat_lower_interval(long)
-    # the J filter reads ascents off windows: it keeps x with D_R(x) ∩ J = ∅
-    for top in ball(3, 5) | ball(4, 3):
-        lower = bruhat_lower_interval(top)
-        for mask in range(1 << top.n):
-            J = {v for v in range(top.n) if mask >> v & 1}
-            restricted = frozenset(x for x in lower if not x.right_descents & J)
-            assert bruhat_lower_interval(top, J) == restricted, (top.window, J)
 
 
-def test_interval_elements_carry_their_lengths():
-    # lengths are carried through the interval walk, never recounted
+def test_interval_is_a_new_dict_per_call():
+    w = from_word(4, [2, 3, 1, 2, 0])
+    expected = lower_by_subwords(w, {1})
+    first = bruhat_lower_interval(w, {1})
+    first.clear()
+    first[(9, 9)] = 9
+    assert bruhat_lower_interval(w, {1}) == expected
+    whole = bruhat_lower_interval(w)
+    whole[w.window] = 0
+    assert bruhat_lower_interval(w) == lower_by_subwords(w)
+
+
+def test_interval_lengths_count_inversions():
     for w in ball(3, 6) | ball(4, 5):
-        for x in bruhat_lower_interval(w):
-            assert "length" in x.__dict__
-            assert x.length == length_by_inversions(x), (w.window, x.window)
+        for x, length in bruhat_lower_interval(w).items():
+            assert length == length_by_inversions(from_window(w.n, x)), (w.window, x)
 
 
 def test_poincare_polynomial_counts_interval_by_length():
@@ -305,6 +318,46 @@ def test_poincare_polynomial_counts_interval_by_length():
     assert poincare_polynomial(longest_element(4, {1, 2})) == Polynomial.of(1, 2, 2, 1)
     with pytest.raises(ValueError):
         poincare_polynomial(longest_element(4, {1}), J={1})
+
+
+def test_relative_poincare_polynomial_matches_subwords():
+    # P^J_w for J a set of ascents of w, the form the queries benchmark asks for
+    tops = sorted(ball(3, 4) | ball(4, 3), key=lambda w: (w.n, w.length, w.window))
+    # period 8 up to length 10, the benchmark's reach: random reduced words
+    rng = random.Random(8)
+    for length in (6, 8, 9, 10, 10, 10):
+        w = identity(8)
+        while w.length < length:
+            w = w.times_s(rng.choice(sorted(set(range(8)) - w.right_descents)))
+        tops.append(w)
+    for w in tops:
+        ascents = sorted(set(range(w.n)) - w.right_descents)
+        for J in ({ascents[0]}, set(ascents[::2]), set(ascents)):
+            expected = Polynomial.from_length_counts(poincare_by_subwords(w, J))
+            assert poincare_polynomial(w, J) == expected, (w.window, J)
+    # s_1 s_2 is the top of the quotient of S_3 by <s_1>: e, s_2, s_1 s_2
+    assert poincare_polynomial(from_word(4, [1, 2]), {1}) == Polynomial.of(1, 1, 1)
+
+
+def test_poincare_polynomial_builds_no_element(monkeypatch):
+    # w's length, descents and reduced word stay unread until the count
+    # starts: they are read off the window too
+    w = from_word(8, [1, 2, 3, 4, 5, 6, 7, 0, 1, 2])
+    assert from_window(8, w.window).length == 10
+    built = []
+    check = AffinePermutation.__post_init__
+
+    def counted(self):
+        built.append(self.window)
+        check(self)
+
+    monkeypatch.setattr(AffinePermutation, "__post_init__", counted)
+    p = poincare_polynomial(w)
+    q = poincare_polynomial(w, {3})
+    assert built == []
+    monkeypatch.undo()
+    assert p == Polynomial.from_length_counts(poincare_by_subwords(w))
+    assert q == Polynomial.from_length_counts(poincare_by_subwords(w, {3}))
 
 
 def test_cycle_runs_match_adjacency_oracle():

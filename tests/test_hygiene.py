@@ -61,11 +61,12 @@ def test_no_unused_imports(path):
 
 
 # Unbounded caches that are allowed: each is keyed by n alone (and a
-# direction), and every caller caps n, so the cache holds a few entries.
+# direction), and each function caps its own n, so the cache holds a few
+# entries.
 UNBOUNDED_CACHES = {
-    "increasing_diagrams": "keyed by n; path enumeration caps n at 12",
-    "broken_staircases": "keyed by n and one of two directions; n is at most 12",
-    "fully_supported_path_diagrams": "keyed by n; path enumeration caps n at 12",
+    "increasing_diagrams": "keyed by n; path enumeration caps n at 9",
+    "broken_staircases": "keyed by n and one of two directions; path enumeration caps n at 9",
+    "fully_supported_path_diagrams": "keyed by n; path enumeration caps n at 9",
     "fully_supported_cycle_diagrams": "keyed by n; cycle enumeration caps n at 8",
 }
 

@@ -367,6 +367,15 @@ def test_enumeration_filters_and_cap():
         enumerate_diagrams(cycle_graph(9))
     with pytest.raises(BudgetExceeded):
         fully_supported_cycle_diagrams(staircase.ENUM_MAX["cycle"] + 1)
+    # each path family is capped on its own, not only through enumerate_diagrams
+    over = staircase.ENUM_MAX["path"] + 1
+    for family in (increasing_diagrams, broken_staircases, fully_supported_path_diagrams):
+        with pytest.raises(BudgetExceeded, match=f"path enumeration capped at n = {over - 1}, got {over}"):
+            family(over)
+    with pytest.raises(BudgetExceeded):
+        broken_staircases(over, DECREASING)
+    with pytest.raises(BudgetExceeded):
+        enumerate_diagrams(path_graph(over))
 
 
 # ----------------------------------------------------------------------
