@@ -1,8 +1,17 @@
-"""Exact truncated power series and the diagram-counting generating functions.
+"""Exact series arithmetic and the diagram-counting generating functions.
 
 All coefficients are arbitrary-precision integers and every operation is
-exact; division is defined only for divisors with constant term 1 or -1,
-which covers every denominator appearing here.  The series of interest:
+exact.  Two representations:
+
+    IntSeries     an integer power series known through t^order; division
+                  is defined only for divisors with constant term 1 or -1.
+                  The closed form for A is evaluated in it.
+    RootFraction  an element (p + q·S)/d of Q(t, S), S = sqrt(1-4t), with
+                  integer polynomials p, q and d.  Every part of the
+                  assembly is computed in it, once, and expanded to a
+                  truncated series at the end.
+
+The series of interest:
 
     A_M   fully supported increasing staircase diagrams on the path
           (Catalan numbers),
@@ -22,8 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from operator import add, index, mul, sub
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -77,11 +87,6 @@ class IntSeries:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
 
-    def truncate(self, order: int) -> "IntSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return IntSeries(self.coeffs[: order + 1])
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "IntSeries") -> "IntSeries":
@@ -102,12 +107,6 @@ class IntSeries:
             lo, hi = max(0, k - db), min(k, da) + 1
             out[k] = sum(map(mul, a[lo:hi], rb[n - k + lo : n - k + hi]))
         return IntSeries(tuple(out))
-
-    def divexact(self, k: int) -> "IntSeries":
-        """Divide every coefficient by the integer k, exactly."""
-        if any(c % k for c in self.coeffs):
-            raise ValueError(f"coefficients are not all divisible by {k}")
-        return IntSeries(tuple(c // k for c in self.coeffs))
 
     def inverse(self) -> "IntSeries":
         """Multiplicative inverse; the constant term must be 1 or -1.
@@ -135,28 +134,6 @@ class IntSeries:
             m = min(k, dg)
             h.append(c * (f[k] - sum(map(mul, rg[dg - m :], h[k - m :]))))
         return IntSeries(tuple(h))
-
-    # -- calculus and shifts -----------------------------------------------
-
-    def t_derivative(self) -> "IntSeries":
-        """The operator t·d/dt, sending c_n to n·c_n (order preserved).
-
-        >>> IntSeries.of(3, 7, 1, 1, 1).t_derivative().coeffs
-        (0, 1, 2, 3)
-        """
-        return IntSeries(tuple(n * c for n, c in enumerate(self.coeffs)))
-
-    def shift_up(self, k: int = 1) -> "IntSeries":
-        """Multiply by t^k; all coefficients stay exactly known."""
-        return IntSeries((0,) * k + self.coeffs)
-
-    def shift_down(self, k: int = 1) -> "IntSeries":
-        """Divide by t^k; the k low coefficients must vanish."""
-        if any(self.coeffs[:k]):
-            raise ValueError(f"series is not divisible by t^{k}")
-        if self.order < k:
-            raise ValueError("nothing left after the shift")
-        return IntSeries(self.coeffs[k:])
 
 
 def catalan(n: int) -> int:
@@ -186,7 +163,186 @@ def sqrt_one_minus_4t(order: int) -> IntSeries:
     return IntSeries(tuple(out))
 
 
-@lru_cache(maxsize=8)
+# ----------------------------------------------------------------------
+# exact elements of Q(t, sqrt(1-4t))
+
+ONE_MINUS_4T = (1, -4)  # S², for S = sqrt(1-4t)
+
+
+def _padd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def _psub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return _padd(a, tuple(-c for c in b))
+
+
+def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    if not (a and b):
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _ptheta(a: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(n * c for n, c in enumerate(a))
+
+
+@dataclass(frozen=True)
+class RootFraction:
+    """The exact element (p + q·S)/d of Q(t, S), S = sqrt(1-4t), S(0) = 1.
+
+    p, q and d are integer polynomials, coefficients from t^0 up, stored
+    without trailing zeros, and d is not zero.  Nothing is reduced, so one
+    element has many representations: x and y are equal exactly when x - y
+    has p and q both empty.  Only expand truncates.
+
+    >>> s = RootFraction((), (1,), (1,))
+    >>> square = s * s
+    >>> square.p, square.q, square.d
+    ((1, -4), (), (1,))
+    >>> am = (RootFraction.poly(1, -2) - s) / RootFraction.poly(0, 2)
+    >>> am.expand(6).coeffs
+    (0, 1, 2, 5, 14, 42, 132)
+    """
+
+    p: tuple[int, ...]
+    q: tuple[int, ...]
+    d: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        for name in ("p", "q", "d"):
+            coeffs = list(map(index, getattr(self, name)))
+            while coeffs and not coeffs[-1]:
+                coeffs.pop()
+            object.__setattr__(self, name, tuple(coeffs))
+        if not self.d:
+            raise ZeroDivisionError("the denominator is zero")
+
+    @staticmethod
+    def poly(*coeffs: int) -> "RootFraction":
+        """The integer polynomial with the given coefficients, from t^0 up."""
+        return RootFraction(coeffs, (), (1,))
+
+    def __add__(self, other: "RootFraction") -> "RootFraction":
+        return RootFraction(
+            _padd(_pmul(self.p, other.d), _pmul(other.p, self.d)),
+            _padd(_pmul(self.q, other.d), _pmul(other.q, self.d)),
+            _pmul(self.d, other.d),
+        )
+
+    def __neg__(self) -> "RootFraction":
+        return RootFraction(tuple(-c for c in self.p), tuple(-c for c in self.q), self.d)
+
+    def __sub__(self, other: "RootFraction") -> "RootFraction":
+        return self + -other
+
+    def __mul__(self, other: "RootFraction") -> "RootFraction":
+        return RootFraction(
+            _padd(_pmul(self.p, other.p), _pmul(_pmul(self.q, other.q), ONE_MINUS_4T)),
+            _padd(_pmul(self.p, other.q), _pmul(self.q, other.p)),
+            _pmul(self.d, other.d),
+        )
+
+    def __truediv__(self, other: "RootFraction") -> "RootFraction":
+        """By the conjugate: d/(p + qS) = d·(p - qS)/(p² - q²(1 - 4t)),
+        or d/p when q is zero."""
+        p, q, d = other.p, other.q, other.d
+        if not q:
+            return self * RootFraction(d, (), p)
+        norm = _psub(_pmul(p, p), _pmul(_pmul(q, q), ONE_MINUS_4T))
+        return self * RootFraction(_pmul(p, d), _pmul(q, tuple(-c for c in d)), norm)
+
+    def times_t(self) -> "RootFraction":
+        return RootFraction((0,) + self.p, (0,) + self.q, self.d)
+
+    def t_derivative(self) -> "RootFraction":
+        """The operator t·d/dt, using t·dS/dt = -2tS/(1 - 4t).
+
+        >>> RootFraction.poly(7, 1, 1, 1).t_derivative().expand(4).coeffs
+        (0, 1, 2, 3, 0)
+        >>> s = RootFraction((), (1,), (1,))
+        >>> s.t_derivative().expand(5).coeffs  # n·S_n
+        (0, -2, -4, -12, -40, -140)
+        """
+        p, q, d = self.p, self.q, self.d
+        dd = _ptheta(d)
+        return RootFraction(
+            _pmul(ONE_MINUS_4T, _psub(_pmul(_ptheta(p), d), _pmul(p, dd))),
+            _psub(
+                _pmul(ONE_MINUS_4T, _psub(_pmul(_ptheta(q), d), _pmul(q, dd))),
+                _pmul((0, 2), _pmul(q, d)),
+            ),
+            _pmul(ONE_MINUS_4T, _pmul(d, d)),
+        )
+
+    def expand(self, order: int) -> IntSeries:
+        """The power series of this element, through t^order.
+
+        With d = t^k·e and e(0) = c nonzero, the numerator p + q·S must
+        vanish below t^k, and the quotient comes from the division
+        recurrence by c, which must leave no remainder at any coefficient.
+
+        >>> (RootFraction.poly(1) / RootFraction.poly(2, -1)).expand(3)
+        Traceback (most recent call last):
+        ...
+        ValueError: coefficient 0 of the series is not an integer
+        """
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        k = next(i for i, c in enumerate(self.d) if c)
+        n = order + k
+        rs = sqrt_one_minus_4t(n).coeffs[::-1]  # rs[n - j] is S_j
+        p, q = self.p, self.q
+        num = [
+            (p[j] if j < len(p) else 0) + sum(map(mul, q[: j + 1], rs[n - j : n + 1]))
+            for j in range(n + 1)
+        ]
+        if any(num[:k]):
+            raise ValueError(f"the element has a pole at t = 0 (its denominator has t^{k})")
+        e = self.d[k:]
+        c, de = e[0], len(e) - 1
+        re = e[de:0:-1]  # e_de, ..., e_1
+        h: list[int] = []
+        for j in range(order + 1):
+            m = min(j, de)
+            coeff, rest = divmod(num[k + j] - sum(map(mul, re[de - m :], h[j - m :])), c)
+            if rest:
+                raise ValueError(f"coefficient {j} of the series is not an integer")
+            h.append(coeff)
+        return IntSeries(tuple(h))
+
+
+class ExactParts(NamedTuple):
+    """The counting series as exact elements of Q(t, sqrt(1-4t))."""
+
+    AM: RootFraction
+    AB: RootFraction
+    Abar: RootFraction
+    AF: RootFraction
+    Astar: RootFraction
+    A: RootFraction
+
+
+@lru_cache(maxsize=1)
+def exact_parts() -> ExactParts:
+    """Every part, built once on first use by the formulas that the
+    series_* functions below state."""
+    one, one_minus_t = RootFraction.poly(1), RootFraction.poly(1, -1)
+    am = (RootFraction.poly(1, -2) - RootFraction((), (1,), (1,))) / RootFraction.poly(0, 2)
+    ab = one_minus_t * am / RootFraction.poly(0, 1) - one
+    square = ab * ab
+    abar = square.t_derivative() / (one - square)
+    af = am / (one - ab)
+    star = af.times_t() / one_minus_t
+    a = abar + star.t_derivative() / (one - star) + (one / one_minus_t).times_t().times_t()
+    return ExactParts(am, ab, abar, af, star, a)
+
+
 def series_AM(order: int) -> IntSeries:
     """Increasing staircase counts m_n: (1 - 2t - sqrt(1-4t)) / 2t.
 
@@ -195,22 +351,18 @@ def series_AM(order: int) -> IntSeries:
     >>> series_AM(5).coeffs
     (0, 1, 2, 5, 14, 42)
     """
-    num = IntSeries.of(order + 1, 1, -2) - sqrt_one_minus_4t(order + 1)
-    return num.shift_down(1).divexact(2)
+    return exact_parts().AM.expand(order)
 
 
-@lru_cache(maxsize=8)
 def series_AB(order: int) -> IntSeries:
     """Broken staircase counts b_n: (1-t)·A_M/t - 1, so b_n = m_{n+1} - m_n.
 
     >>> series_AB(5).coeffs
     (0, 1, 3, 9, 28, 90)
     """
-    am_over_t = series_AM(order + 1).shift_down(1)
-    return IntSeries.of(order, 1, -1) * am_over_t - IntSeries.one(order)
+    return exact_parts().AB.expand(order)
 
 
-@lru_cache(maxsize=8)
 def series_Abar(order: int) -> IntSeries:
     """Fully supported spherical cycle-diagram counts:
     2·A_B·(t·dA_B/dt) / (1 - A_B²), with numerator t·d(A_B²)/dt.
@@ -218,33 +370,27 @@ def series_Abar(order: int) -> IntSeries:
     >>> series_Abar(4).coeffs
     (0, 0, 2, 18, 110)
     """
-    b = series_AB(order)
-    square = b * b
-    return square.t_derivative() / (IntSeries.one(order) - square)
+    return exact_parts().Abar.expand(order)
 
 
-@lru_cache(maxsize=8)
 def series_AF(order: int) -> IntSeries:
     """Fully supported path-diagram counts f_n: A_M / (1 - A_B).
 
     >>> series_AF(5).coeffs
     (0, 1, 3, 11, 43, 173)
     """
-    return series_AM(order) / (IntSeries.one(order) - series_AB(order))
+    return exact_parts().AF.expand(order)
 
 
-@lru_cache(maxsize=8)
 def series_Astar(order: int) -> IntSeries:
     """The bookkeeping series t·A_F / (1-t).
 
     >>> series_Astar(5).coeffs
     (0, 0, 1, 4, 15, 58)
     """
-    t_af = series_AF(order).shift_up(1).truncate(order)
-    return t_af / IntSeries.of(order, 1, -1)
+    return exact_parts().Astar.expand(order)
 
 
-@lru_cache(maxsize=8)
 def series_A_assembled(order: int) -> IntSeries:
     """Spherical cycle-diagram counts a_n assembled from the parts:
     Ā + t·(A_*)'/(1 - A_*) + t²/(1-t).
@@ -255,10 +401,7 @@ def series_A_assembled(order: int) -> IntSeries:
     >>> series_A_assembled(7).coeffs
     (0, 0, 5, 31, 173, 891, 4373, 20833)
     """
-    star = series_Astar(order)
-    middle = star.t_derivative() / (IntSeries.one(order) - star)
-    tail = (IntSeries.one(order) / IntSeries.of(order, 1, -1)).shift_up(2).truncate(order)
-    return series_Abar(order) + middle + tail
+    return exact_parts().A.expand(order)
 
 
 def _polyseries(order: int, *factors: Iterable[int]) -> IntSeries:

@@ -35,11 +35,17 @@ reduced words, where the package reads spirals off windows.
 ``coset_decompose_by_stripping`` finds the minimal coset representative by
 stripping right descents in K one letter at a time, where the package sorts
 the window on each block of positions.
+
+``truncated_assembly`` computes the six counting series the way the
+generating functions read, on truncated coefficient tuples: a shift and an
+exact halving for A_M, then schoolbook products and inverses, where the
+package computes each part exactly in Q(t, sqrt(1-4t)) and expands it once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from functools import lru_cache
 from typing import Optional
@@ -527,3 +533,46 @@ def series_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
         acc = sum(a[i] * out[k - i] for i in range(1, k + 1))
         out[k] = -c0 * acc
     return tuple(out)
+
+
+def poly_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Schoolbook product of two integer polynomials, nothing truncated."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def truncated_assembly(order: int) -> dict[str, tuple[int, ...]]:
+    """The six counting series through t^order, keyed AM, AB, Abar, AF,
+    Astar and A as the package's series_* functions, each computed from its
+    formula on truncated series.  S = sqrt(1-4t) is read off the Catalan
+    numbers: S_0 = 1 and S_k = -2·Catalan(k-1)."""
+    n = order
+
+    def minus(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def theta(a):  # t·d/dt
+        return tuple(k * c for k, c in enumerate(a))
+
+    def quotient(a, b):
+        return series_product(a, series_inverse(b))
+
+    one = (1,) + (0,) * n
+    one_minus_t = (1, -1) + (0,) * n
+    s = (1,) + tuple(-2 * math.comb(2 * k - 2, k - 1) // k for k in range(1, n + 3))
+    # A_M through t^(n+1): 1 - 2t - S, shifted down by one and halved
+    top = minus((1, -2) + (0,) * (n + 1), s)
+    assert top[0] == 0 and all(c % 2 == 0 for c in top)
+    am = tuple(c // 2 for c in top[1:])
+    ab = minus(series_product(one_minus_t, am[1:]), one)
+    square = series_product(ab, ab)
+    abar = quotient(theta(square), minus(one, square))
+    af = quotient(am[: n + 1], minus(one, ab))
+    star = quotient((0,) + af[:n], one_minus_t)
+    middle = quotient(theta(star), minus(one, star))
+    tail = ((0, 0) + quotient(one, one_minus_t))[: n + 1]
+    a = tuple(map(sum, zip(abar, middle, tail)))
+    return {"AM": am[: n + 1], "AB": ab, "Abar": abar, "AF": af, "Astar": star, "A": a}

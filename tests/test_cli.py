@@ -244,9 +244,12 @@ def test_series_enumeration_cap(capsys):
     assert doc["rows"] == [[n, c] for n, c in zip(range(1, 9), (1, 2, 5, 14, 42, 132, 429, 1430))]
     code, _, err = run(capsys, "series", "--which", "A", "--order", "0")
     assert code == 1 and "--order" in err
-    # the order has a hard maximum too
-    code, out, _ = run(capsys, "series", "--which", "A", "--order", str(cli.SERIES_ORDER_MAX))
-    assert code == 0 and json.loads(out)["rows"][-1][0] == cli.SERIES_ORDER_MAX
+    # the order has a hard maximum too, where all three methods still agree
+    code, out, _ = run(
+        capsys, "series", "--which", "A", "--order", str(cli.SERIES_ORDER_MAX), "--method", "all", "--diff"
+    )
+    doc = json.loads(out)
+    assert code == 0 and doc["rows"][-1][0] == cli.SERIES_ORDER_MAX and doc["mismatches"] == []
     code, out, err = run(capsys, "series", "--which", "A", "--order", str(cli.SERIES_ORDER_MAX + 1))
     assert (code, out) == (1, "") and err.count("\n") == 1
     assert err.startswith("error: --order must be at most")

@@ -3,21 +3,26 @@
 The anchor points are independent of the implementation: the square root
 series is compared against Catalan numbers, each generating function
 against its defining functional equation by multiplying denominators
-back, and the closed form against the assembled formula at high order.
+back, against the truncated-series assembly of the oracles, and the
+closed form against the exact assembly by cross-multiplying.
 """
+
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import series_inverse, series_product
+from oracles import poly_product, series_inverse, series_product, truncated_assembly
 from schubsmooth.series import (
     D_FACTORS,
     P_FACTORS,
     Q_FACTORS,
     IntSeries,
+    RootFraction,
     alpha,
     catalan,
+    exact_parts,
     series_A_assembled,
     series_A_closed,
     series_AB,
@@ -48,9 +53,6 @@ def test_construction_and_indexing():
         IntSeries(())
     with pytest.raises(ValueError):
         IntSeries.of(-1, 1)
-    assert s.truncate(1).coeffs == (1, -4)
-    with pytest.raises(ValueError):
-        s.truncate(9)
     assert IntSeries.one(2).coeffs == (1, 0, 0)
     # coefficients must be integers, not anything int() accepts
     with pytest.raises(TypeError):
@@ -68,10 +70,32 @@ def test_binary_operations_truncate_to_common_order():
     assert (-b).coeffs == (-1, -2, 0, 0)
 
 
+S = RootFraction((), (1,), (1,))
+ONE = RootFraction.poly(1)
+T = RootFraction.poly(0, 1)
+
+
+def is_zero(x: RootFraction) -> bool:
+    return x.p == () and x.q == ()
+
+
 def test_exact_integer_division():
-    assert IntSeries.of(2, 2, 4, 6).divexact(2).coeffs == (1, 2, 3)
+    assert RootFraction((2, 4, 6), (), (2,)).expand(2).coeffs == (1, 2, 3)
+    assert (RootFraction.poly(4, -2) / RootFraction.poly(2, -1)).expand(3).coeffs == (2, 0, 0, 0)
+    # an element whose series is not integral: expand refuses it
+    for x in (RootFraction((2, 4, 6), (), (4,)), ONE / RootFraction.poly(2, -1), S / RootFraction.poly(2)):
+        with pytest.raises(ValueError):
+            x.expand(5)
     with pytest.raises(ValueError):
-        IntSeries.of(2, 2, 4, 6).divexact(4)
+        S.expand(-1)
+    with pytest.raises(ZeroDivisionError):
+        S / (S - S)
+    with pytest.raises(ZeroDivisionError):
+        RootFraction((1,), (), (0, 0))
+    # stored without trailing zeros, coefficients must be integers
+    assert RootFraction((1, 0), (0,), (3, 0)) == RootFraction((1,), (), (3,))
+    with pytest.raises(TypeError):
+        RootFraction((0.5,), (), (1,))
 
 
 def test_inverse_and_division():
@@ -110,19 +134,47 @@ def test_arithmetic_matches_schoolbook_oracle(f, g, c):
     assert g.inverse().coeffs == inverse
     q = f / g
     assert q.coeffs == series_product(f.coeffs, inverse)
-    assert (q * g).coeffs == f.truncate(q.order).coeffs
+    assert (q * g).coeffs == f.coeffs[: q.order + 1]
 
 
 def test_shifts_and_derivative():
-    s = IntSeries.of(3, 5, 4, 3)
-    assert s.shift_up(2).coeffs == (0, 0, 5, 4, 3, 0)
-    assert s.shift_up().shift_down().coeffs == s.coeffs
-    assert IntSeries.of(3, 0, 0, 7).shift_down(2).coeffs == (7, 0)
+    x = RootFraction.poly(5, 4, 3)
+    assert x.times_t().times_t().expand(5).coeffs == (0, 0, 5, 4, 3, 0)
+    assert is_zero(x.times_t() / T - x)
+    assert (RootFraction.poly(0, 0, 7) / T / T).expand(1).coeffs == (7, 0)
+    # 5/t has a pole at 0
     with pytest.raises(ValueError):
-        s.shift_down()
-    with pytest.raises(ValueError):
-        IntSeries.of(0, 0).shift_down()
-    assert s.t_derivative().coeffs == (0, 4, 6, 0)
+        (x / T).expand(3)
+    assert x.t_derivative().expand(3).coeffs == (0, 4, 6, 0)
+    # t·d/dt on S and on a quotient, against n·c_n of the expansion
+    for y in (S, S / RootFraction.poly(1, -1), (ONE - S) / (T + T)):
+        coeffs = y.expand(40).coeffs
+        assert y.t_derivative().expand(40).coeffs == tuple(n * c for n, c in enumerate(coeffs))
+
+
+@st.composite
+def root_fractions(draw):
+    """(p + q·S)/d with short p, q and d(0) = 1 or -1, so every expansion
+    is integral."""
+    poly = st.lists(st.integers(-9, 9), max_size=4)
+    d = (draw(st.sampled_from((1, -1))),) + tuple(draw(poly))
+    return RootFraction(tuple(draw(poly)), tuple(draw(poly)), d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(root_fractions(), root_fractions())
+def test_exact_arithmetic_matches_truncated_oracle(x, y):
+    order = 12
+    ex, ey = x.expand(order).coeffs, y.expand(order).coeffs
+    assert (x + y).expand(order).coeffs == tuple(a + b for a, b in zip(ex, ey))
+    assert (x - y).expand(order).coeffs == tuple(a - b for a, b in zip(ex, ey))
+    assert (x * y).expand(order).coeffs == series_product(ex, ey)
+    assert x.times_t().expand(order).coeffs == (0,) + ex[:order]
+    assert x.t_derivative().expand(order).coeffs == tuple(n * c for n, c in enumerate(ex))
+    if not is_zero(y):
+        assert is_zero(x * y / y - x)
+    if ey[0] in (1, -1):
+        assert (x / y).expand(order).coeffs == series_product(ex, series_inverse(ey))
 
 
 # ----------------------------------------------------------------------
@@ -160,26 +212,34 @@ def test_frozen_prefixes():
 
 
 def test_functional_equations():
-    order = 25
-    one = IntSeries.one(order)
-    t = IntSeries.of(order, 0, 1)
-    am = series_AM(order)
-    ab = series_AB(order)
-    abar = series_Abar(order)
-    af = series_AF(order)
-    star = series_Astar(order)
-    # the Catalan equation shifted by one: A_M = t (1 + A_M)^2
-    lifted = one + am
-    assert am.coeffs == (t * lifted * lifted).coeffs
+    parts = exact_parts()
+    ab, star = parts.AB, parts.Astar
     # b_n counts new staircases: Catalan difference for n >= 1
-    assert ab[0] == 0
-    for n in range(1, order + 1):
-        assert ab[n] == catalan(n + 1) - catalan(n)
-    # the quotients, multiplied back through their denominators
+    b = series_AB(25)
+    assert b[0] == 0
+    for n in range(1, 26):
+        assert b[n] == catalan(n + 1) - catalan(n)
+    # the quotients, multiplied back through their denominators, exactly
     half = ab * ab.t_derivative()
-    assert (abar * (one - ab * ab)).coeffs == (half + half).coeffs
-    assert (af * (one - ab)).coeffs == am.coeffs
-    assert (star * IntSeries.of(order, 1, -1)).coeffs == (t * af).coeffs
+    assert is_zero(parts.Abar * (ONE - ab * ab) - (half + half))
+    assert is_zero(star * RootFraction.poly(1, -1) - parts.AF.times_t())
+    rest = parts.A - parts.Abar - RootFraction.poly(0, 0, 1) / RootFraction.poly(1, -1)
+    assert is_zero(rest * (ONE - star) - star.t_derivative())
+
+
+def test_parts_match_truncated_assembly_oracle():
+    functions = {
+        "AM": series_AM,
+        "AB": series_AB,
+        "Abar": series_Abar,
+        "AF": series_AF,
+        "Astar": series_Astar,
+        "A": series_A_assembled,
+    }
+    for order in (0, 1, 2, 7, 120):
+        reference = truncated_assembly(order)
+        for name, series in functions.items():
+            assert series(order).coeffs == reference[name], (name, order)
 
 
 def test_b_identity_against_m():
@@ -189,6 +249,20 @@ def test_b_identity_against_m():
         assert ab[n] == am[n + 1] - am[n]
     # and it genuinely fails at n = 0, where the -1 correction bites
     assert ab[0] != am[1] - am[0]
+
+
+def test_exact_assembly_equals_closed_form():
+    """A = (P - Q·S)/D exactly, so closed and assembled agree at every order."""
+    parts = exact_parts()
+    a = parts.A
+    P, Q, D = (reduce(poly_product, f, (1,)) for f in (P_FACTORS, Q_FACTORS, D_FACTORS))
+    assert poly_product(a.p, D) == poly_product(P, a.d)
+    assert poly_product(a.q, D) == poly_product(tuple(-c for c in Q), a.d)
+    # two defining equations, exactly: the Catalan equation A_M = t(1 + A_M)²
+    # shifted by one, and A_F·(1 - A_B) = A_M
+    lifted = ONE + parts.AM
+    assert is_zero(parts.AM - T * lifted * lifted)
+    assert is_zero(parts.AF * (ONE - parts.AB) - parts.AM)
 
 
 def test_closed_form_identity():
