@@ -58,6 +58,9 @@ from . import selftest as selftest_module
 ENUM_CAP_DEFAULT = 6
 ENUM_CAP_MAX = 8
 SERIES_ORDER_MAX = 1000
+# Largest period of an element read by smooth and decompose, the cap that
+# staircase.DIAGRAM_N_MAX puts on diagram files: length alone is quadratic in n.
+ELEMENT_N_MAX = 1000
 
 
 # ----------------------------------------------------------------------
@@ -74,6 +77,11 @@ def _parse_ints(text: str) -> list[int]:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
+def _check_period(n: int) -> None:
+    if n > ELEMENT_N_MAX:
+        raise ValueError(f"the period n must be at most {ELEMENT_N_MAX}, got {n}")
+
+
 def _element(args: argparse.Namespace) -> AffinePermutation:
     sources = [s for s in (args.window, args.word, args.element) if s is not None]
     if len(sources) != 1:
@@ -88,6 +96,7 @@ def _element(args: argparse.Namespace) -> AffinePermutation:
             raise ValueError(f"element file field 'n' must be an integer, got {json.dumps(n)}")
         if args.n is not None and args.n != n:
             raise ValueError(f"--n {args.n} disagrees with element file n = {n}")
+        _check_period(n)
         for key, build in (("window", from_window), ("word", from_word)):
             if key in doc:
                 values = doc[key]
@@ -97,6 +106,7 @@ def _element(args: argparse.Namespace) -> AffinePermutation:
         raise ValueError("element file needs a 'window' or 'word' field")
     if args.n is None:
         raise ValueError("--n is required with --window/--word")
+    _check_period(args.n)
     values = _parse_ints(args.window if args.window is not None else args.word)
     if args.window is not None:
         if len(values) != args.n:

@@ -1,26 +1,24 @@
-"""Integer polynomials in one variable q, dense and exact.
+"""Integer polynomials in one variable, dense and exact.
 
-Just enough arithmetic for Poincare polynomials: addition, multiplication,
-evaluation, the palindromicity test q^deg * p(1/q) == p(q), and the
-Gaussian binomials that are the Poincare polynomials of Grassmannians.
+The one exact polynomial of the package: Poincare polynomials in q, and
+the numerators and denominators of the exact counting series in t.  It
+has addition, subtraction, negation, multiplication, evaluation, the
+palindromicity test q^deg * p(1/q) == p(q), and the Gaussian binomials
+that are the Poincare polynomials of Grassmannians.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
-
-def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+from itertools import zip_longest
+from operator import index
 
 
 @dataclass(frozen=True)
 class Polynomial:
     """Coefficients stored low degree first, trailing zeros trimmed.
+
+    Coefficients must be integers: anything else raises TypeError.
 
     >>> p = Polynomial.of(1, 2, 2, 1)
     >>> p.is_palindromic()
@@ -34,7 +32,11 @@ class Polynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+        coeffs = tuple(map(index, self.coeffs))
+        end = len(coeffs)
+        while end and not coeffs[end - 1]:
+            end -= 1
+        object.__setattr__(self, "coeffs", coeffs[:end])
 
     @classmethod
     def of(cls, *coeffs: int) -> "Polynomial":
@@ -53,10 +55,13 @@ class Polynomial:
         return cls(tuple(counts.get(k, 0) for k in range(top + 1)))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Polynomial(tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)))
+        return Polynomial(tuple(x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return Polynomial(tuple(x - y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs

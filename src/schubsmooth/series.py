@@ -1,15 +1,18 @@
 """Exact series arithmetic and the diagram-counting generating functions.
 
 All coefficients are arbitrary-precision integers and every operation is
-exact.  Two representations:
+exact.  Three representations:
 
+    Polynomial    an exact integer polynomial in t, from the poly module;
+                  the fixed polynomials P, Q and D of the closed form and
+                  the parts p, q and d of a RootFraction are Polynomials.
     IntSeries     an integer power series known through t^order; division
                   is defined only for divisors with constant term 1 or -1.
                   The closed form for A is evaluated in it.
     RootFraction  an element (p + q·S)/d of Q(t, S), S = sqrt(1-4t), with
-                  integer polynomials p, q and d.  Every part of the
-                  assembly is computed in it, once, and expanded to a
-                  truncated series at the end.
+                  Polynomials p, q and d.  Every part of the assembly is
+                  computed in it, once, and expanded to a truncated series
+                  at the end.
 
 The series of interest:
 
@@ -31,9 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
-from operator import add, index, mul, sub
-from typing import Iterable, NamedTuple
+from operator import index, mul, sub
+from typing import NamedTuple
+
+from .poly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -89,14 +93,8 @@ class IntSeries:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "IntSeries") -> "IntSeries":
-        return IntSeries(tuple(map(add, self.coeffs, other.coeffs)))
-
     def __sub__(self, other: "IntSeries") -> "IntSeries":
         return IntSeries(tuple(map(sub, self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "IntSeries":
-        return IntSeries(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "IntSeries") -> "IntSeries":
         n = min(self.order, other.order)
@@ -145,7 +143,6 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-@lru_cache(maxsize=8)
 def sqrt_one_minus_4t(order: int) -> IntSeries:
     """The integer series S with S² = 1 - 4t, S(0) = 1.
 
@@ -166,61 +163,44 @@ def sqrt_one_minus_4t(order: int) -> IntSeries:
 # ----------------------------------------------------------------------
 # exact elements of Q(t, sqrt(1-4t))
 
-ONE_MINUS_4T = (1, -4)  # S², for S = sqrt(1-4t)
+ONE_MINUS_4T = Polynomial.of(1, -4)  # S², for S = sqrt(1-4t)
+T = Polynomial.of(0, 1)
 
 
-def _padd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))
-
-
-def _psub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return _padd(a, tuple(-c for c in b))
-
-
-def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not (a and b):
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def _ptheta(a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(n * c for n, c in enumerate(a))
+def _theta(a: Polynomial) -> Polynomial:
+    """The operator t·d/dt on a polynomial."""
+    return Polynomial(tuple(n * c for n, c in enumerate(a.coeffs)))
 
 
 @dataclass(frozen=True)
 class RootFraction:
     """The exact element (p + q·S)/d of Q(t, S), S = sqrt(1-4t), S(0) = 1.
 
-    p, q and d are integer polynomials, coefficients from t^0 up, stored
-    without trailing zeros, and d is not zero.  Nothing is reduced, so one
-    element has many representations: x and y are equal exactly when x - y
-    has p and q both empty.  Only expand truncates.
+    p, q and d are Polynomials in t, and d is not zero; the constructor
+    also takes each as a sequence of integer coefficients from t^0 up.
+    Nothing is reduced, so one element has many representations: x and y
+    are equal exactly when x - y has p and q both zero.  Only expand
+    truncates.
 
     >>> s = RootFraction((), (1,), (1,))
     >>> square = s * s
-    >>> square.p, square.q, square.d
+    >>> square.p.coeffs, square.q.coeffs, square.d.coeffs
     ((1, -4), (), (1,))
     >>> am = (RootFraction.poly(1, -2) - s) / RootFraction.poly(0, 2)
     >>> am.expand(6).coeffs
     (0, 1, 2, 5, 14, 42, 132)
     """
 
-    p: tuple[int, ...]
-    q: tuple[int, ...]
-    d: tuple[int, ...]
+    p: Polynomial
+    q: Polynomial
+    d: Polynomial
 
     def __post_init__(self) -> None:
         for name in ("p", "q", "d"):
-            coeffs = list(map(index, getattr(self, name)))
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-            object.__setattr__(self, name, tuple(coeffs))
-        if not self.d:
+            value = getattr(self, name)
+            if not isinstance(value, Polynomial):
+                object.__setattr__(self, name, Polynomial(tuple(value)))
+        if not self.d.coeffs:
             raise ZeroDivisionError("the denominator is zero")
 
     @staticmethod
@@ -230,35 +210,34 @@ class RootFraction:
 
     def __add__(self, other: "RootFraction") -> "RootFraction":
         return RootFraction(
-            _padd(_pmul(self.p, other.d), _pmul(other.p, self.d)),
-            _padd(_pmul(self.q, other.d), _pmul(other.q, self.d)),
-            _pmul(self.d, other.d),
+            self.p * other.d + other.p * self.d,
+            self.q * other.d + other.q * self.d,
+            self.d * other.d,
         )
 
     def __neg__(self) -> "RootFraction":
-        return RootFraction(tuple(-c for c in self.p), tuple(-c for c in self.q), self.d)
+        return RootFraction(-self.p, -self.q, self.d)
 
     def __sub__(self, other: "RootFraction") -> "RootFraction":
         return self + -other
 
     def __mul__(self, other: "RootFraction") -> "RootFraction":
         return RootFraction(
-            _padd(_pmul(self.p, other.p), _pmul(_pmul(self.q, other.q), ONE_MINUS_4T)),
-            _padd(_pmul(self.p, other.q), _pmul(self.q, other.p)),
-            _pmul(self.d, other.d),
+            self.p * other.p + self.q * other.q * ONE_MINUS_4T,
+            self.p * other.q + self.q * other.p,
+            self.d * other.d,
         )
 
     def __truediv__(self, other: "RootFraction") -> "RootFraction":
         """By the conjugate: d/(p + qS) = d·(p - qS)/(p² - q²(1 - 4t)),
         or d/p when q is zero."""
         p, q, d = other.p, other.q, other.d
-        if not q:
+        if not q.coeffs:
             return self * RootFraction(d, (), p)
-        norm = _psub(_pmul(p, p), _pmul(_pmul(q, q), ONE_MINUS_4T))
-        return self * RootFraction(_pmul(p, d), _pmul(q, tuple(-c for c in d)), norm)
+        return self * RootFraction(p * d, -(q * d), p * p - q * q * ONE_MINUS_4T)
 
     def times_t(self) -> "RootFraction":
-        return RootFraction((0,) + self.p, (0,) + self.q, self.d)
+        return RootFraction(T * self.p, T * self.q, self.d)
 
     def t_derivative(self) -> "RootFraction":
         """The operator t·d/dt, using t·dS/dt = -2tS/(1 - 4t).
@@ -270,14 +249,11 @@ class RootFraction:
         (0, -2, -4, -12, -40, -140)
         """
         p, q, d = self.p, self.q, self.d
-        dd = _ptheta(d)
+        dd = _theta(d)
         return RootFraction(
-            _pmul(ONE_MINUS_4T, _psub(_pmul(_ptheta(p), d), _pmul(p, dd))),
-            _psub(
-                _pmul(ONE_MINUS_4T, _psub(_pmul(_ptheta(q), d), _pmul(q, dd))),
-                _pmul((0, 2), _pmul(q, d)),
-            ),
-            _pmul(ONE_MINUS_4T, _pmul(d, d)),
+            ONE_MINUS_4T * (_theta(p) * d - p * dd),
+            ONE_MINUS_4T * (_theta(q) * d - q * dd) - Polynomial.of(0, 2) * q * d,
+            ONE_MINUS_4T * d * d,
         )
 
     def expand(self, order: int) -> IntSeries:
@@ -294,17 +270,17 @@ class RootFraction:
         """
         if order < 0:
             raise ValueError("order must be nonnegative")
-        k = next(i for i, c in enumerate(self.d) if c)
+        p, q, d = self.p.coeffs, self.q.coeffs, self.d.coeffs
+        k = next(i for i, c in enumerate(d) if c)
         n = order + k
         rs = sqrt_one_minus_4t(n).coeffs[::-1]  # rs[n - j] is S_j
-        p, q = self.p, self.q
         num = [
             (p[j] if j < len(p) else 0) + sum(map(mul, q[: j + 1], rs[n - j : n + 1]))
             for j in range(n + 1)
         ]
         if any(num[:k]):
             raise ValueError(f"the element has a pole at t = 0 (its denominator has t^{k})")
-        e = self.d[k:]
+        e = d[k:]
         c, de = e[0], len(e) - 1
         re = e[de:0:-1]  # e_de, ..., e_1
         h: list[int] = []
@@ -404,17 +380,12 @@ def series_A_assembled(order: int) -> IntSeries:
     return exact_parts().A.expand(order)
 
 
-def _polyseries(order: int, *factors: Iterable[int]) -> IntSeries:
-    return math.prod((IntSeries.of(order, *f) for f in factors), start=IntSeries.one(order))
-
-
 # The fixed polynomials P, Q, D of the closed form, in factored form.
 P_FACTORS: tuple[tuple[int, ...], ...] = ((1, -4), (2, -11, 18, -16, 10, -4))
 Q_FACTORS: tuple[tuple[int, ...], ...] = ((1, -1), (2, -1), (1, -6, 6))
 D_FACTORS: tuple[tuple[int, ...], ...] = ((1, -1), (1, -4), (1, -6, 8, -4))
 
 
-@lru_cache(maxsize=8)
 def series_A_closed(order: int) -> IntSeries:
     """Spherical cycle-diagram counts a_n from the closed form
     (P - Q·sqrt(1-4t)) / D, with the fixed polynomials
@@ -423,20 +394,21 @@ def series_A_closed(order: int) -> IntSeries:
         Q = (1-t)(2-t)(1-6t+6t²)
         D = (1-t)(1-4t)(1-6t+8t²-4t³)
 
-    stored as P_FACTORS, Q_FACTORS and D_FACTORS.
+    stored as P_FACTORS, Q_FACTORS and D_FACTORS.  Each is multiplied out
+    exactly and then truncated at the order:
 
-    >>> _polyseries(3, *P_FACTORS).coeffs
-    (2, -19, 62, -88)
-    >>> _polyseries(3, *Q_FACTORS).coeffs
-    (2, -15, 31, -24)
-    >>> _polyseries(3, *D_FACTORS).coeffs
-    (1, -11, 42, -68)
+    >>> for factors in (P_FACTORS, Q_FACTORS, D_FACTORS):
+    ...     print(math.prod(map(Polynomial, factors), start=Polynomial.of(1)).coeffs)
+    (2, -19, 62, -88, 74, -44, 16)
+    (2, -15, 31, -24, 6)
+    (1, -11, 42, -68, 52, -16)
     >>> series_A_closed(9).coeffs
     (0, 0, 5, 31, 173, 891, 4373, 20833, 97333, 448663)
     >>> series_A_closed(60) == series_A_assembled(60)
     True
     """
-    p, q, d = (_polyseries(order, *f) for f in (P_FACTORS, Q_FACTORS, D_FACTORS))
+    exact = (math.prod(map(Polynomial, f), start=Polynomial.of(1)) for f in (P_FACTORS, Q_FACTORS, D_FACTORS))
+    p, q, d = (IntSeries.of(order, *f.coeffs) for f in exact)
     return (p - q * sqrt_one_minus_4t(order)) / d
 
 

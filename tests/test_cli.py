@@ -101,6 +101,26 @@ def test_element_argument_validation(capsys, tmp_path):
         assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+def test_element_period_cap(capsys, tmp_path):
+    # refused before any element is built: length is quadratic in n
+    n = cli.ELEMENT_N_MAX + 1
+    window = list(range(1, n + 1))
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps({"n": n, "window": window}))
+    for command in ("smooth", "decompose"):
+        for argv in (
+            ["--n", str(n), "--window", ",".join(map(str, window))],
+            ["--n", str(n), "--word", "0"],
+            ["--element", str(f)],
+        ):
+            code, out, err = run(capsys, command, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error:") and err.count("\n") == 1, err
+            assert f"at most {cli.ELEMENT_N_MAX}" in err
+    code, out, _ = run(capsys, "smooth", "--n", str(cli.ELEMENT_N_MAX), "--word", "0")
+    assert code == 0 and json.loads(out)["length"] == 1
+
+
 # ----------------------------------------------------------------------
 # decompose
 

@@ -14,16 +14,36 @@ module reads it as a name or an attribute, so no public name exists only
 for the tests.  The same holds for every public method of a package class,
 apart from a few named exemptions.  A load through a package class counts
 only for that class's method, and a parsed option ``args.name`` for none.
+
+Every name the benchmark reads from the package still exists: the methods
+and functions that bench/tracing.py wraps by name, and the ``S.<name>``
+calls of bench/workloads.py.  Without them the traced benchmark pass
+breaks while every other test passes.
 """
 
 import ast
+import importlib.util
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "schubsmooth"
+import schubsmooth
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "schubsmooth"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACING = _load_tracing()
 
 
 def unused_imports(source: str) -> list[str]:
@@ -164,11 +184,12 @@ def test_every_public_name_has_a_package_caller():
     assert sorted(exported - used) == []
 
 
-# Public methods with no caller in the package, and why they stay.
+# Public methods with no caller in the package, and why they stay, besides
+# the methods that bench/tracing.py wraps by name.
 UNCALLED_METHODS = {
-    "AffinePermutation.s_times": "bench/tracing.py wraps it by name",
     "_Parser.error": "argparse calls it on a usage error",
 }
+TRACED_METHODS = {f"{cls}.{meth}" for _, cls, meth, _ in TRACING.METHODS}
 
 
 def public_methods(source: str) -> set[str]:
@@ -225,6 +246,38 @@ def test_uncalled_methods_ignore_other_classes_and_options():
 
 def test_every_public_method_has_a_package_caller():
     uncalled = uncalled_methods([p.read_text(encoding="utf-8") for p in MODULES])
-    assert sorted(uncalled - set(UNCALLED_METHODS)) == []
+    assert sorted(uncalled - set(UNCALLED_METHODS) - TRACED_METHODS) == []
     # an exemption that gained a caller, or lost its method, is stale
     assert sorted(set(UNCALLED_METHODS) - uncalled) == []
+
+
+# ----------------------------------------------------------------------
+# names the benchmark reads
+
+
+@pytest.mark.parametrize("entry", TRACING.METHODS, ids=lambda e: f"{e[1]}.{e[2]}")
+def test_every_traced_method_is_in_its_class_body(entry):
+    layer, cls_name, meth, _ = entry
+    assert layer in TRACING.LAYERS
+    cls = getattr(importlib.import_module(f"schubsmooth.{layer}"), cls_name)
+    assert meth in vars(cls)  # install() reads cls.__dict__[meth]
+
+
+def test_every_function_group_names_a_module_function():
+    for name in TRACING.FUNCTION_GROUPS:
+        layer, attr = name.split(".")
+        assert layer in TRACING.LAYERS, name
+        module = importlib.import_module(f"schubsmooth.{layer}")
+        fn = getattr(module, attr, None)
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__, name
+
+
+def test_every_name_the_workloads_read_is_exported():
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text(encoding="utf-8"))
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "S"
+    }
+    assert read  # workloads.py reads the package as S
+    assert sorted(read - set(schubsmooth.__all__)) == []
