@@ -231,17 +231,21 @@ def from_window(n: int, window: Sequence[int]) -> AffinePermutation:
 
 
 def from_word(n: int, word: Iterable[int]) -> AffinePermutation:
-    """Product s_{i_1} * s_{i_2} * ... for word = [i_1, i_2, ...].
+    """Product s_{i_1} * s_{i_2} * ... for word = [i_1, i_2, ...], swapped into one window.
 
     >>> identity(2).times_s(0).window
     (0, 3)
     >>> from_word(2, [0]).window
     (0, 3)
     """
-    w = identity(n)
+    if n < 2:
+        raise ValueError(f"period must be at least 2, got {n}")
+    win = list(range(1, n + 1))
     for i in word:
-        w = w.times_s(i)
-    return w
+        if not 0 <= i < n:
+            raise ValueError(f"reflection index must be in 0..{n - 1}, got {i}")
+        _swap(win, i)
+    return AffinePermutation(n, tuple(win))
 
 
 def ball_levels(n: int) -> Iterator[frozenset[AffinePermutation]]:

@@ -33,12 +33,10 @@ from .series import (
 from .smoothness import (
     PERIOD_MAX,
     enumerate_smooth,
-    is_rationally_smooth,
     is_smooth,
     is_twisted_spiral,
 )
 from .staircase import (
-    StaircaseDiagram,
     broken_staircases,
     cycle_decompose,
     cycle_graph,
@@ -58,9 +56,9 @@ from . import selftest as selftest_module
 ENUM_CAP_DEFAULT = 6
 ENUM_CAP_MAX = 8
 SERIES_ORDER_MAX = 1000
-# Largest period of an element read by smooth and decompose, the cap that
-# staircase.DIAGRAM_N_MAX puts on diagram files: length alone is quadratic in n.
-ELEMENT_N_MAX = 1000
+# Largest period of an element read by smooth and decompose; it bounds time, as
+# decompose takes about 2 s on the window (3 - 2n, n + 2, n + 1, ..., 4) at 200.
+ELEMENT_N_MAX = 200
 
 
 # ----------------------------------------------------------------------
@@ -132,10 +130,11 @@ def _emit(args: argparse.Namespace, doc: object, tsv_rows: list[str], text_lines
 
 def _cmd_smooth(args: argparse.Namespace) -> int:
     w = _element(args)
+    smooth, spiral = is_smooth(w), is_twisted_spiral(w)
     doc = {
-        "smooth": is_smooth(w),
-        "rationally_smooth": is_rationally_smooth(w),
-        "twisted_spiral": is_twisted_spiral(w),
+        "smooth": smooth,
+        "rationally_smooth": smooth or spiral,
+        "twisted_spiral": spiral,
         "length": w.length,
         "window": list(w.window),
     }
@@ -276,11 +275,6 @@ def _cmd_series(args: argparse.Namespace) -> int:
 # staircase
 
 
-def _load_diagram(path: str) -> StaircaseDiagram:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json(fh.read())
-
-
 def _piece_doc(piece) -> dict:
     return {
         "n": piece.n,
@@ -291,7 +285,8 @@ def _piece_doc(piece) -> dict:
 
 
 def _cmd_staircase(args: argparse.Namespace) -> int:
-    d = _load_diagram(args.file)
+    with open(args.file, "r", encoding="utf-8") as fh:
+        d = from_json(fh.read())
     ok, reason = d.validate()
     if args.action == "validate":
         doc = {"valid": ok, "reason": reason}

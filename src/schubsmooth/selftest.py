@@ -30,6 +30,7 @@ from .series import (
 from .smoothness import (
     SpiralSpec,
     enumerate_smooth,
+    is_rationally_smooth,
     is_smooth,
     is_twisted_spiral,
     twisted_spiral,
@@ -97,7 +98,7 @@ def criterion_3(scale: str = "full") -> tuple[bool, str]:
 
 def criterion_4(scale: str = "full") -> tuple[bool, str]:
     """Pattern-avoider counts match a_n for n <= 7, and to_element hits them
-    exactly for n <= 5."""
+    exactly for n <= 6."""
     top = _cap(scale, 7)
     a = series_A_closed(top)
     ok = True
@@ -106,7 +107,7 @@ def criterion_4(scale: str = "full") -> tuple[bool, str]:
         cnt = len(enumerate_smooth(n))
         details.append(f"|smooth({n})| = {cnt}")
         ok = ok and cnt == a[n]
-    for n in range(2, _cap(scale, 5) + 1):
+    for n in range(2, _cap(scale, 6) + 1):
         diagrams = enumerate_diagrams(cycle_graph(n), spherical_only=True)
         image = {to_element(d) for d in diagrams}
         same = len(image) == len(diagrams) and image == set(enumerate_smooth(n))
@@ -196,12 +197,10 @@ def criterion_9(scale: str = "full") -> tuple[bool, str]:
     for n, len_top in reach.items():
         for level in itertools.islice(ball_levels(n), 1, len_top + 1):
             for w in level:
-                pal = poincare_polynomial(w).is_palindromic()
-                spiral = is_twisted_spiral(w)
-                if pal != (is_smooth(w) or spiral):
+                if poincare_polynomial(w).is_palindromic() != is_rationally_smooth(w):
                     ok = False
                 checked += 1
-                spirals += spiral
+                spirals += is_twisted_spiral(w)
     ts = twisted_spiral(SpiralSpec(0, 2, "x"), 3)
     spiral_ok = (
         ts.length == 7

@@ -174,6 +174,29 @@ def test_from_word_is_a_homomorphism():
         assert from_word(4, u + v) == from_word(4, u) * from_word(4, v)
 
 
+def test_from_word_matches_times_s_chain():
+    # letters are applied in place on one window; the chain of checked
+    # times_s products is the reference, errors included
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randrange(2, 7)
+        word = [rng.randrange(-1, n + 1) for _ in range(rng.randrange(12))]
+        w = identity(n)
+        try:
+            for i in word:
+                w = w.times_s(i)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                from_word(n, word)
+            assert str(got.value) == str(exc)
+        else:
+            assert from_word(n, word) == w
+    for n in (-1, 0, 1):
+        for word in ([], [0]):
+            with pytest.raises(ValueError, match="period must be at least 2"):
+                from_word(n, word)
+
+
 def test_reduced_word_reproduces_element():
     for w in ball(3, 6):
         word = w.reduced_word

@@ -13,6 +13,7 @@ from schubsmooth import cli, selftest
 from schubsmooth.affine import from_window, from_word, identity
 from schubsmooth.errors import BudgetExceeded, NotSmooth
 from schubsmooth.selftest import CRITERIA, TABLE_1
+from schubsmooth.smoothness import SpiralSpec, is_rationally_smooth, is_twisted_spiral, twisted_spiral
 from schubsmooth.staircase import StaircaseDiagram, cycle_graph, to_json
 
 
@@ -45,6 +46,28 @@ def test_smooth_formats(capsys):
     code, out, _ = run(capsys, "--format", "text", "smooth", "--n", "2", "--word", "0,1,0")
     assert code == 0
     assert out.splitlines()[0] == "smooth: false"
+
+
+def test_smooth_scans_once(capsys, monkeypatch):
+    # rationally_smooth reuses the smooth verdict instead of a second scan
+    calls = []
+    scan = cli.is_smooth
+
+    def counted(w):
+        calls.append(w.window)
+        return scan(w)
+
+    monkeypatch.setattr(cli, "is_smooth", counted)
+    spiral = twisted_spiral(SpiralSpec(0, 2, "x"), 3)
+    for w in (from_window(4, [3, 4, 1, 2]), from_word(2, [0, 1, 0]), from_word(3, [1, 2]), spiral):
+        calls.clear()
+        code, out, _ = run(capsys, "smooth", "--n", str(w.n), "--window=" + ",".join(map(str, w.window)))
+        assert code == 0 and calls == [w.window]
+        doc = json.loads(out)
+        assert doc["smooth"] == scan(w)
+        assert doc["rationally_smooth"] == is_rationally_smooth(w)
+        assert doc["twisted_spiral"] == is_twisted_spiral(w)
+    assert doc["rationally_smooth"] and not doc["smooth"]
 
 
 def test_window_and_word_give_identical_output(capsys):

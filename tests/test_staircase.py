@@ -28,7 +28,7 @@ from oracles import (
     validate_by_chains,
 )
 from schubsmooth import staircase
-from schubsmooth.affine import longest_element
+from schubsmooth.affine import AffinePermutation, longest_element
 from schubsmooth.errors import BudgetExceeded, MalformedDiagram
 from schubsmooth.series import (
     catalan,
@@ -662,6 +662,31 @@ def test_to_element_matches_factor_oracle():
     assert "_linear" not in d.__dict__
     order = d._linear
     assert d._linear is order and d.__dict__["_linear"] is order
+
+
+def test_to_element_builds_one_element_per_diagram(monkeypatch):
+    # with the factor cache warm the product stays a window: one checked
+    # element per diagram and no group product
+    pool = [d for n in range(2, 6) for d in enumerate_diagrams(cycle_graph(n), spherical_only=True)]
+    pool += [d for n in range(1, 5) for d in fully_supported_path_diagrams(n)]
+    expected = [to_element(d) for d in pool]
+    built, products = [], []
+    check, mul = AffinePermutation.__post_init__, AffinePermutation.__mul__
+
+    def counted_check(self):
+        built.append(self.window)
+        check(self)
+
+    def counted_mul(self, other):
+        products.append(other.window)
+        return mul(self, other)
+
+    monkeypatch.setattr(AffinePermutation, "__post_init__", counted_check)
+    monkeypatch.setattr(AffinePermutation, "__mul__", counted_mul)
+    images = [to_element(d) for d in pool]
+    assert len(built) == len(pool) and products == []
+    monkeypatch.undo()
+    assert images == expected
 
 
 def test_to_element_rejects_nonspherical():
