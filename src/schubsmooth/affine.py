@@ -111,8 +111,7 @@ class AffinePermutation:
     def __mul__(self, other: "AffinePermutation") -> "AffinePermutation":
         if self.n != other.n:
             raise ValueError(f"period mismatch: {self.n} vs {other.n}")
-        n, win = self.n, self.window
-        return AffinePermutation(n, tuple([win[(v - 1) % n] + (v - 1) // n * n for v in other.window]))
+        return AffinePermutation(self.n, _compose(self.n, self.window, other.window))
 
     def inverse(self) -> "AffinePermutation":
         return AffinePermutation(self.n, tuple(_inverse_window(self.window)))
@@ -217,6 +216,11 @@ def _inverse_window(window: Sequence[int]) -> list[int]:
     return inv
 
 
+def _compose(n: int, f: Sequence[int], w: Iterable[int]) -> tuple[int, ...]:
+    """The window of f * w from the period-n windows of f and w: f(w(i)) for each i."""
+    return tuple([f[(v - 1) % n] + (v - 1) // n * n for v in w])
+
+
 def _swap(window: list[int], i: int) -> None:
     """Right multiplication by s_i, in place on a window."""
     if i:
@@ -231,16 +235,14 @@ def from_window(n: int, window: Sequence[int]) -> AffinePermutation:
 
 
 def from_word(n: int, word: Iterable[int]) -> AffinePermutation:
-    """Product s_{i_1} * s_{i_2} * ... for word = [i_1, i_2, ...], swapped into one window.
+    """Product s_{i_1} * s_{i_2} * ... for word = [i_1, i_2, ...].
 
     >>> identity(2).times_s(0).window
     (0, 3)
     >>> from_word(2, [0]).window
     (0, 3)
     """
-    if n < 2:
-        raise ValueError(f"period must be at least 2, got {n}")
-    win = list(range(1, n + 1))
+    win = list(identity(n).window)
     for i in word:
         if not 0 <= i < n:
             raise ValueError(f"reflection index must be in 0..{n - 1}, got {i}")

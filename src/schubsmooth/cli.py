@@ -37,6 +37,7 @@ from .smoothness import (
     is_twisted_spiral,
 )
 from .staircase import (
+    StaircaseDiagram,
     broken_staircases,
     cycle_decompose,
     cycle_graph,
@@ -56,8 +57,8 @@ from . import selftest as selftest_module
 ENUM_CAP_DEFAULT = 6
 ENUM_CAP_MAX = 8
 SERIES_ORDER_MAX = 1000
-# Largest period of an element read by smooth and decompose; it bounds time, as
-# decompose takes about 2 s on the window (3 - 2n, n + 2, n + 1, ..., 4) at 200.
+# Largest period of an element read by smooth and decompose, a bound on time: on
+# the smooth window (3 - 2n, n + 2, ..., 4) at 200, decompose takes 1.4 to 1.9 s.
 ELEMENT_N_MAX = 200
 
 
@@ -275,6 +276,11 @@ def _cmd_series(args: argparse.Namespace) -> int:
 # staircase
 
 
+def _load_diagram(path: str) -> StaircaseDiagram:
+    with open(path, "r", encoding="utf-8") as fh:
+        return from_json(fh.read())
+
+
 def _piece_doc(piece) -> dict:
     return {
         "n": piece.n,
@@ -285,8 +291,7 @@ def _piece_doc(piece) -> dict:
 
 
 def _cmd_staircase(args: argparse.Namespace) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        d = from_json(fh.read())
+    d = _load_diagram(args.file)
     ok, reason = d.validate()
     if args.action == "validate":
         doc = {"valid": ok, "reason": reason}

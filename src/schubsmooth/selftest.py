@@ -197,15 +197,18 @@ def criterion_9(scale: str = "full") -> tuple[bool, str]:
     for n, len_top in reach.items():
         for level in itertools.islice(ball_levels(n), 1, len_top + 1):
             for w in level:
-                if poincare_polynomial(w).is_palindromic() != is_rationally_smooth(w):
+                pal = poincare_polynomial(w).is_palindromic()
+                spiral = is_twisted_spiral(w)
+                if pal != (is_smooth(w) or spiral):
                     ok = False
                 checked += 1
-                spirals += is_twisted_spiral(w)
+                spirals += spiral
     ts = twisted_spiral(SpiralSpec(0, 2, "x"), 3)
     spiral_ok = (
         ts.length == 7
         and poincare_polynomial(ts).is_palindromic()
         and not is_smooth(ts)
+        and is_rationally_smooth(ts)
     )
     through = ", ".join(f"length {top} at n = {n}" for n, top in reach.items())
     return ok and spiral_ok, (

@@ -41,6 +41,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from .affine import (
     AffinePermutation,
+    _compose,
     cached_attribute,
     cycle_runs,
     longest_element,
@@ -988,12 +989,11 @@ def _assemble_on_runs(g: CoxGraph, support: Sequence[int]) -> Iterator[Staircase
 
 
 @lru_cache(maxsize=1024)
-def _block_factor(period: int, block: frozenset[int], inner: frozenset[int]) -> tuple[tuple[int, ...], int]:
-    """Window and length of the maximal element of W_block modulo W_inner,
-    the minimal coset representative of W_block's longest element.  A few
-    hundred (period, block, inner) triples serve every diagram up to period 7."""
-    factor = longest_element(period, block) * longest_element(period, inner)
-    return factor.window, factor.length
+def _block_factor(period: int, block: frozenset[int], inner: frozenset[int]) -> AffinePermutation:
+    """The maximal element of W_block modulo W_inner: the minimal coset
+    representative of the longest element of W_block.  A few hundred
+    (period, block, inner) triples serve every diagram up to period 7."""
+    return longest_element(period, block) * longest_element(period, inner)
 
 
 def to_element(d: StaircaseDiagram) -> AffinePermutation:
@@ -1001,9 +1001,8 @@ def to_element(d: StaircaseDiagram) -> AffinePermutation:
     parabolic on B's overlap with the union of lower blocks.
 
     Blocks are processed along a linear extension from the bottom; each new
-    factor f multiplies on the left, as (f(w(1)), ..., f(w(p))) on windows,
-    so maximal blocks end up leftmost; one checked element is built at the
-    end.  It has a complete maximal BP decomposition shaped by the diagram.
+    factor multiplies on the left, so maximal blocks end up leftmost.  The
+    result has a complete maximal BP decomposition shaped by the diagram.
     Path diagrams on n vertices land in the affine group with period n+1
     (the finite group on s_1..s_n), cycle diagrams in period n.
 
@@ -1017,16 +1016,16 @@ def to_element(d: StaircaseDiagram) -> AffinePermutation:
     """
     if not d.is_spherical():
         raise ValueError("only spherical diagrams map to group elements")
-    p = d.graph.n if d.graph.kind == "cycle" else d.graph.n + 1
-    win = range(1, p + 1)
+    period = d.graph.n if d.graph.kind == "cycle" else d.graph.n + 1
+    win = range(1, period + 1)
     processed: set[int] = set()
     expected = 0
     for i in d._linear:
         block = d.blocks[i]
-        f, length = _block_factor(p, block, block & processed)
-        expected += length
-        win = [f[(v - 1) % p] + (v - 1) // p * p for v in win]
+        factor = _block_factor(period, block, block & processed)
+        expected += factor.length
+        win = _compose(period, factor.window, win)
         processed |= block
-    w = AffinePermutation(p, tuple(win))
+    w = AffinePermutation(period, tuple(win))
     assert w.length == expected, "block factors multiply length-additively"
     return w
