@@ -27,7 +27,8 @@ s_i is missing from S(w) exactly when max(w(i-n+1), ..., w(i)) <= i.
 Proof: the s_j with j != i generate the stabiliser of the integers <= i,
 and by periodicity w maps them into themselves once it does so for the n
 positions i-n+1..i; into is onto, since as many integers <= i leave the set
-as enter it.
+as enter it.  The maxima for all i come from one pass of prefix maxima of
+w(1..i) and one of suffix maxima of w(i+1..n) - n.
 
 For a proper subset K the minimal representative v of the coset w W_K is
 w with the values on each block of positions sorted increasingly, a block
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded
@@ -154,19 +156,14 @@ class AffinePermutation:
         return total
 
     def is_identity(self) -> bool:
-        return self.length == 0
+        """Whether w is the identity, read off the window: no length is counted."""
+        return self.window == tuple(range(1, self.n + 1))
 
     @cached_attribute
     def right_descents(self) -> frozenset[int]:
         """Indices i with w(i) > w(i+1), reading w(0) = w(n) - n."""
         win = self.window
         return frozenset(i for i in range(self.n) if not _rises(win, i))
-
-    @cached_attribute
-    def left_descents(self) -> frozenset[int]:
-        """The right descents of w⁻¹, read off its window; no element is built."""
-        inv = _inverse_window(self.window)
-        return frozenset(i for i in range(self.n) if not _rises(inv, i))
 
     @cached_attribute
     def reduced_word(self) -> tuple[int, ...]:
@@ -190,8 +187,7 @@ class AffinePermutation:
         >>> sorted(from_word(4, [2, 3, 2]).support)
         [2, 3]
         """
-        n, win = self.n, self.window
-        return frozenset(i for i in range(n) if max(win[i:]) - n > i or max(win[:i], default=i) > i)
+        return _nodes(self.n, _support_bits(self.window))
 
     def __repr__(self) -> str:
         return f"AffinePermutation({self.n}, {self.window})"
@@ -204,6 +200,28 @@ def identity(n: int) -> AffinePermutation:
 def _rises(window: Sequence[int], i: int) -> bool:
     """Whether i is not a right descent: w(i) < w(i+1), with w(0) = w(n) - n."""
     return window[i - 1] - (0 if i else len(window)) < window[i]
+
+
+def _support_bits(window: Sequence[int]) -> int:
+    """The support S(w) as a bitmask over 0..n-1, from the window in O(n):
+    bit i is set when max(w(1..i)) or max(w(i+1..n)) - n exceeds i (module
+    docstring).  The prefix maximum starts from max(w(1..n)) - n, which
+    decides i = 0 and never exceeds the larger of the pair after it."""
+    n = len(window)
+    suffix = list(accumulate(reversed(window), max))
+    suffix.reverse()  # suffix[i] = max(w(i+1..n))
+    bits, prefix = 0, suffix[0] - n
+    for i, (value, high) in enumerate(zip(window, suffix)):
+        if prefix > i or high - n > i:
+            bits |= 1 << i
+        if value > prefix:
+            prefix = value
+    return bits
+
+
+def _nodes(n: int, bits: int) -> frozenset[int]:
+    """The nodes of the n-cycle whose bits are set in a bitmask."""
+    return frozenset(i for i in range(n) if bits >> i & 1)
 
 
 def _inverse_window(window: Sequence[int]) -> list[int]:
@@ -337,6 +355,11 @@ def longest_element(n: int, subset: Iterable[int]) -> AffinePermutation:
         raise ValueError(f"subset members must be node indices in 0..{n - 1}")
     if len(sub) >= n:
         raise ValueError("subset must be proper: the full cycle generates an infinite group")
+    return AffinePermutation(n, tuple(_longest_window(n, sub)))
+
+
+def _longest_window(n: int, sub: frozenset[int]) -> list[int]:
+    """The window of the longest element of W_sub, sub a proper subset."""
     win = list(range(1, n + 1))
     for comp in cycle_runs(n, sub):
         # nodes v..v+m-1 generate the permutations of positions v..v+m, and
@@ -345,7 +368,7 @@ def longest_element(n: int, subset: Iterable[int]) -> AffinePermutation:
         for k in range(m + 1):
             q, r = divmod(v + k - 1, n)
             win[r] = v + m - k - q * n
-    return AffinePermutation(n, tuple(win))
+    return win
 
 
 def coset_decompose(w: AffinePermutation, K: Iterable[int]) -> tuple[AffinePermutation, AffinePermutation]:
@@ -368,17 +391,32 @@ def coset_decompose(w: AffinePermutation, K: Iterable[int]) -> tuple[AffinePermu
         raise ValueError(f"K members must be node indices in 0..{n - 1}")
     if len(ks) == n:
         return identity(n), w
-    vwin, uwin = list(w.window), list(range(1, n + 1))
-    for run in cycle_runs(n, ks):
+    values = [w.apply(p) for p in range(2 * n)]
+    vwin, uwin, _ = _coset_cut(n, values, cycle_runs(n, ks))
+    return AffinePermutation(n, tuple(vwin)), AffinePermutation(n, tuple(uwin))
+
+
+def _coset_cut(
+    n: int, values: Sequence[int], runs: Iterable[tuple[int, ...]]
+) -> tuple[list[int], list[int], list[tuple[int, list[int]]]]:
+    """coset_decompose on windows, from values[p] = w(p) for 0 <= p < 2n and
+    the runs of a proper K as cycle_runs lists them; the block a..a+m of a
+    run a..a+m-1 lies in 0..2n-2.  Returns the windows of v and u and, for
+    each run, the pair (a, order): order lists the block positions by
+    increasing value of w, so v(a + j) = w(order[j]) and u sends order[j]
+    to a + j, both read back into the window periodically."""
+    vwin, uwin, orders = list(values[1 : n + 1]), list(range(1, n + 1)), []
+    for run in runs:
         a = run[0]
         positions = range(a, a + len(run) + 1)
-        values = sorted((w.apply(p), p) for p in positions)
-        for (value, p), target in zip(values, positions):
+        order = sorted(positions, key=values.__getitem__)
+        for target, p in zip(positions, order):
             q, r = divmod(target - 1, n)
-            vwin[r] = value - q * n
+            vwin[r] = values[p] - q * n
             q, r = divmod(p - 1, n)
             uwin[r] = target - q * n
-    return AffinePermutation(n, tuple(vwin)), AffinePermutation(n, tuple(uwin))
+        orders.append((a, order))
+    return vwin, uwin, orders
 
 
 # Lower intervals are walked only below elements of at most this length:

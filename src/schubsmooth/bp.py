@@ -13,9 +13,9 @@ P^J_w = P^K_v * P^J_u exactly when P_{w w0(J)} = P^K_v * P_{u w0(J)}, that
 is, exactly when S(v) ∩ K ⊆ D_L(u w0(J)).  That one descent test decides
 every J; no Bruhat interval is built.  Since u is in W^J, every left
 descent s of u is one of u w0(J) (su is in W^J too, so the length of
-s u w0(J) is that of su plus that of w0(J)).  So w0(J) is formed only when
-S(v) ∩ K holds a node outside D_L(u); for J = S that never happens, as
-w = v = e there.
+s u w0(J) is that of su plus that of w0(J)).  So the window of u w0(J) is
+composed only when S(v) ∩ K holds a node outside D_L(u); for J = S that
+never happens, as w = v = e there.
 
 A BP decomposition is Grassmannian when |S(w) \\ K| = 1.  Iterating
 Grassmannian BP decompositions until the support is exhausted produces a
@@ -28,15 +28,35 @@ of W_{S(v_i)} modulo W_{K_i ∩ S(v_i)}, each level is a Grassmannian fibre
 bundle and the base element is smooth; smooth elements always admit such a
 decomposition, found by preferring s outside D_R(w) in increasing index and
 falling back to maximal parabolic elements.
+
+Each level searches on windows and builds no element for a candidate it
+rejects.  For a candidate s, one sort of the values of w on each block of
+positions of K = (S(w) ∪ J) \\ {s} (affine module docstring) gives the
+windows of v and u, and the block's positions listed by increasing value:
+node a + j of the block a..a+m is a left descent of u when the positions of
+the j-th and (j+1)-th smallest values are out of order.  S(v) comes from
+prefix and suffix maxima of the window of v, the routine behind
+AffinePermutation.support, so the BP test costs O(n) past the sorts.  The
+split kept is built as two elements, v and u, which carry their supports
+and lengths to the next level: l(u) is the number of pairs out of order in
+the block orders, and l(v) = l(w) - l(u).
 """
 
 from __future__ import annotations
 
+from bisect import bisect, insort
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .affine import (
     AffinePermutation,
+    _compose,
+    _coset_cut,
+    _inverse_window,
+    _longest_window,
+    _nodes,
+    _rises,
+    _support_bits,
     cached_attribute,
     coset_decompose,
     cycle_runs,
@@ -51,6 +71,24 @@ def _require_quotient(w: AffinePermutation, js: frozenset[int]) -> None:
     bad = w.right_descents & js
     if bad:
         raise ValueError(f"w has right descents {sorted(bad)} in J: not in W^J")
+
+
+def _bits(nodes: Iterable[int]) -> int:
+    return sum(1 << i for i in nodes)
+
+
+def _is_bp(n: int, v_support: int, ks: int, u_descents: int, uwin: list[int], js: frozenset[int]) -> bool:
+    """The BP test S(v) ∩ K ⊆ D_L(u w0(J)), on bitmasks of S(v), K and
+    D_L(u) and the window of u.  D_L(u) lies in D_L(u w0(J)), so u w0(J) is
+    composed, on windows, only for the nodes of S(v) ∩ K outside D_L(u);
+    for J empty, u w0(J) = u and there are none to find."""
+    rest = v_support & ks & ~u_descents
+    if not rest:
+        return True
+    if not js:
+        return False
+    inv = _inverse_window(_compose(n, uwin, _longest_window(n, js)))
+    return not any(_rises(inv, i) for i in _nodes(n, rest))
 
 
 def bp_split(
@@ -75,11 +113,28 @@ def bp_split(
     if any(not 0 <= i < w.n for i in ks):
         raise ValueError(f"K members must be node indices in 0..{w.n - 1}")
     _require_quotient(w, js)
-    v, u = coset_decompose(w, ks)
-    rest = (v.support & ks) - u.left_descents  # D_L(u) lies in D_L(u w0(J))
-    if rest and not rest <= (u * longest_element(w.n, js)).left_descents:
+    if len(ks) == w.n:
+        return coset_decompose(w, ks)  # v = e, so S(v) ∩ K is empty
+    split = _window_split(w.n, [w.apply(p) for p in range(2 * w.n)], ks, js)
+    return None if split is None else _build(w, split)[:2]
+
+
+def _window_split(n: int, values: list[int], K: frozenset[int], js: frozenset[int]) -> Optional[tuple]:
+    """bp_split on windows, from values[p] = w(p) for 0 <= p < 2n and a
+    proper K: (vwin, uwin, S(v) as a bitmask, the block orders of the cut,
+    K) when the split is BP, else None.  Node a + j of a block is a left
+    descent of u when order[j] > order[j + 1], the positions of the j-th
+    and (j+1)-th smallest values."""
+    vwin, uwin, orders = _coset_cut(n, values, cycle_runs(n, K))
+    descents = 0
+    for a, order in orders:
+        for j in range(len(order) - 1):
+            if order[j] > order[j + 1]:
+                descents |= 1 << (a + j) % n
+    v_support = _support_bits(vwin)
+    if not _is_bp(n, v_support, _bits(K), descents, uwin, js):
         return None
-    return v, u
+    return vwin, uwin, v_support, orders, K
 
 
 def _is_maximal_factor(v: AffinePermutation, K_next: frozenset[int]) -> bool:
@@ -90,16 +145,55 @@ def _is_maximal_factor(v: AffinePermutation, K_next: frozenset[int]) -> bool:
     return v.length == longest_length(v.n, sv) - longest_length(v.n, K_next & sv)
 
 
+def _inversions(order: list[int]) -> int:
+    """The number of pairs out of order in a list of distinct integers."""
+    seen: list[int] = []
+    count = 0
+    for p in order:
+        count += len(seen) - bisect(seen, p)
+        insort(seen, p)
+    return count
+
+
+def _element(n: int, window: list[int], **known) -> AffinePermutation:
+    """A checked element that stores values already known, such as its
+    support and length, as its cached attributes."""
+    x = AffinePermutation(n, tuple(window))
+    x.__dict__.update(known)
+    return x
+
+
+def _build(w: AffinePermutation, split: tuple) -> tuple[AffinePermutation, AffinePermutation, frozenset[int]]:
+    """The factors of a window split, carrying what the split knows: the
+    supports, l(u) as the pairs out of order in the block orders,
+    l(v) = l(w) - l(u), and D_R(u) = D_R(w) ∩ K.  For s in K, us lies in
+    W_K, so l(ws) = l(v) + l(us) and ws < w exactly when us < u; u has no
+    right descent outside K."""
+    vwin, uwin, v_support, orders, K = split
+    n, u_length = w.n, sum(_inversions(order) for _, order in orders)
+    v = _element(n, vwin, support=_nodes(n, v_support), length=w.length - u_length)
+    u = _element(
+        n,
+        uwin,
+        support=_nodes(n, _support_bits(uwin)),
+        length=u_length,
+        right_descents=w.right_descents & K,
+    )
+    return v, u, K
+
+
 def find_grassmannian_bp(
     w: AffinePermutation, J: Iterable[int] = ()
 ) -> Optional[tuple[AffinePermutation, AffinePermutation, frozenset[int]]]:
     """A Grassmannian BP decomposition (v, u, K) of w relative to J, or None.
 
-    K = (S(w) ∪ J) \\ {s} for the smallest admissible s.  Candidates with
-    s outside D_R(w) and both factors supported in proper parabolics come
-    first; if w is the maximal element of its (finite) support parabolic,
-    any s works; finally a BP decomposition whose left factor has full
-    support is accepted (the twisted spiral case).
+    K = (S(w) ∪ J) \\ {s}.  If w is the maximal element of its (finite)
+    support parabolic, s is the smallest node of S(w) \\ J: every split
+    works.  Otherwise the s of S(w) \\ J outside D_R(w) are tried in
+    increasing order, on windows (module docstring), and the first BP split
+    whose v has proper support is kept; u always has proper support, as it
+    lies in W_K and K misses s.  Failing that, the first BP split found is
+    kept, with v of full support (the twisted spiral case).
     """
     js = frozenset(J)
     _require_quotient(w, js)
@@ -108,30 +202,27 @@ def find_grassmannian_bp(
         raise ValueError("S(w) is contained in J: nothing to decompose")
     full = sw | js
     n = w.n
-
-    fallback: Optional[tuple[AffinePermutation, AffinePermutation, frozenset[int]]] = None
-    for s in sorted(sw - js):
-        if s in w.right_descents:
-            continue
-        K = full - {s}
-        split = bp_split(w, K, js)
-        if split is None:
-            continue
-        v, u = split
-        if len(v.support) < n and len(u.support) < n:
-            return v, u, K
-        if fallback is None:
-            fallback = (v, u, K)
-
-    if len(sw) < n and w.length == longest_length(n, sw):
-        # maximal element of a finite parabolic: every decomposition works
+    if len(sw) < n and w.right_descents == sw:
+        # maximal element of a finite parabolic, the one element of W_{S(w)}
+        # whose right descents are all of S(w): every decomposition works
         s = min(sw - js)
         K = full - {s}
         split = bp_split(w, K, js)
-        if split is not None:
-            return (*split, K)
+        return None if split is None else (*split, K)
 
-    return fallback
+    values = [w.apply(p) for p in range(2 * n)]
+    fallback = None
+    for s in sorted(sw - js):
+        if s in w.right_descents:
+            continue
+        split = _window_split(n, values, full - {s}, js)
+        if split is None:
+            continue
+        if split[2] != (1 << n) - 1:  # S(v) is proper
+            return _build(w, split)
+        if fallback is None:
+            fallback = split
+    return None if fallback is None else _build(w, fallback)
 
 
 @dataclass(frozen=True)
@@ -177,7 +268,9 @@ def complete_bp_decomposition(
 
     Returns None when some level admits no Grassmannian BP decomposition
     (or the chain property K_i = S(u_{i+1}) ∪ J fails, which cannot happen
-    for J = ()).  Succeeds for every smooth w.
+    for J = ()).  Succeeds for every smooth w.  Each level hands its u, with
+    the support, length and right descents its split carried, to the next;
+    the last u is checked to be the identity by its window.
     """
     js = frozenset(J)
     _require_quotient(w, js)

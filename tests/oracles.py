@@ -32,6 +32,11 @@ the identity by one descent test.
 ``is_twisted_spiral_by_words`` recognizes twisted spirals through their
 reduced words, where the package reads spirals off windows.
 
+``bp_decomposition_by_elements`` searches for a complete Grassmannian BP
+decomposition over elements, one coset_decompose and one bp_split per
+candidate node, where the package cuts and tests each candidate on windows
+and builds only the split it keeps.
+
 ``coset_decompose_by_stripping`` finds the minimal coset representative by
 stripping right descents in K one letter at a time, where the package sorts
 the window on each block of positions.
@@ -57,6 +62,7 @@ from schubsmooth.affine import (
     identity,
     longest_element,
 )
+from schubsmooth.bp import bp_split
 from schubsmooth.staircase import DECREASING, INCREASING, BrokenStaircase, StaircaseDiagram
 
 
@@ -576,3 +582,53 @@ def truncated_assembly(order: int) -> dict[str, tuple[int, ...]]:
     tail = ((0, 0) + quotient(one, one_minus_t))[: n + 1]
     a = tuple(map(sum, zip(abar, middle, tail)))
     return {"AM": am[: n + 1], "AB": ab, "Abar": abar, "AF": af, "Astar": star, "A": a}
+
+
+def bp_decomposition_by_elements(w: AffinePermutation, J=()):
+    """A complete Grassmannian BP decomposition relative to J by a search
+    over elements, as (factors, chain, maximal flags), or None.
+
+    Each level splits the current u with coset_decompose and bp_split along
+    K = (S(u) ∪ J) minus {s}, for s in S(u) minus J in increasing order and
+    outside D_R(u), and takes the first split whose left factor v has proper
+    support.  Failing that, an element that is the longest element of its
+    finite support parabolic splits at the smallest s; failing that, the
+    first split found with v of full support is taken.  A level fails when
+    none exists or S(u_next) ∪ J is not K.  A factor is maximal when its
+    length is that of w0(S(v)) less that of w0(K ∩ S(v)), for proper S(v).
+    """
+    n, js = w.n, frozenset(J)
+    factors, chain, flags = [], [w.support | js], []
+    u = w
+    while not u.support <= js:
+        full = u.support | js
+        hit = fallback = None
+        for s in sorted(u.support - js):
+            if s in u.right_descents:
+                continue
+            split = bp_split(u, full - {s}, js)
+            if split is None:
+                continue
+            if len(split[0].support) < n:
+                hit = (*split, full - {s})
+                break
+            if fallback is None:
+                fallback = (*split, full - {s})
+        if hit is None and len(u.support) < n and u == longest_element(n, u.support):
+            s = min(u.support - js)
+            split = bp_split(u, full - {s}, js)
+            if split is not None:
+                hit = (*split, full - {s})
+        hit = hit or fallback
+        if hit is None:
+            return None
+        v, u, K = hit
+        if u.support | js != K:
+            return None
+        sv = v.support
+        factors.append(v)
+        flags.append(
+            len(sv) < n and v.length == longest_element(n, sv).length - longest_element(n, K & sv).length
+        )
+        chain.append(K)
+    return tuple(factors), tuple(chain), tuple(flags)

@@ -10,7 +10,13 @@ import random
 
 import pytest
 
-from oracles import ball, bounded_windows, gaussian_binomial_by_subsets, is_bp_by_poincare
+from oracles import (
+    ball,
+    bounded_windows,
+    bp_decomposition_by_elements,
+    gaussian_binomial_by_subsets,
+    is_bp_by_poincare,
+)
 from schubsmooth.affine import (
     AffinePermutation,
     coset_decompose,
@@ -83,6 +89,49 @@ def test_find_grassmannian_bp_shape():
         assert len(w.support - K) == 1
         assert not (v.right_descents & K)
         assert u.support <= K
+
+
+def test_complete_decomposition_matches_element_search_oracle():
+    # the window search keeps the answer of a coset_decompose and bp_split
+    # per candidate: the same None, or the same factors, chain and flags,
+    # relative to J empty and to every nonempty set of ascents
+    pairs = 0
+    for w in ball(3, 9) | ball(4, 8) | ball(5, 5):
+        for J in subsets(frozenset(range(w.n)) - w.right_descents):
+            d = complete_bp_decomposition(w, J)
+            got = None if d is None else (d.factors, d.chain, d.maximal)
+            assert got == bp_decomposition_by_elements(w, J), (w.window, sorted(J))
+            pairs += 1
+    assert pairs == 5424
+
+
+def test_decomposition_builds_two_elements_per_level(monkeypatch):
+    # rejected candidates stay windows: each level builds its two factors,
+    # and the support, length and right descents they carry from the split
+    # are those of a fresh element with the same window
+    pool = [AffinePermutation(n, w.window) for n in range(2, 6) for w in enumerate_smooth(n)]
+    built = []
+    check = AffinePermutation.__post_init__
+
+    def counting_check(x):
+        built.append(x)
+        check(x)
+
+    monkeypatch.setattr(AffinePermutation, "__post_init__", counting_check)
+    counts = []
+    for w in pool:
+        before = len(built)
+        depth = len(complete_bp_decomposition(w).factors)
+        counts.append((len(built) - before, depth))
+    monkeypatch.undo()
+    assert len(pool) == 1100
+    assert all(count <= 2 * depth + 2 for count, depth in counts)
+    for x in built:
+        fresh = AffinePermutation(x.n, x.window)
+        assert {"support", "length"} <= vars(x).keys(), x.window
+        for name in ("support", "length", "right_descents"):
+            if name in vars(x):
+                assert vars(x)[name] == getattr(fresh, name), (x.window, name)
 
 
 def test_complete_decomposition_of_smooth_elements():
