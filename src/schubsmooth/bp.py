@@ -39,7 +39,8 @@ prefix and suffix maxima of the window of v, the routine behind
 AffinePermutation.support, so the BP test costs O(n) past the sorts.  The
 split kept is built as two elements, v and u, which carry their supports
 and lengths to the next level: l(u) is the number of pairs out of order in
-the block orders, and l(v) = l(w) - l(u).
+the block orders, and l(v) = l(w) - l(u).  u also carries its right
+descents, D_R(w) ∩ K.
 """
 
 from __future__ import annotations
