@@ -456,6 +456,12 @@ def bruhat_lower_interval(w: AffinePermutation, J: Iterable[int] = ()) -> dict[t
     return {x: length for x, length in lengths.items() if all(_rises(x, j) for j in js)}
 
 
+def _require_quotient(w: AffinePermutation, js: frozenset[int]) -> None:
+    bad = w.right_descents & js
+    if bad:
+        raise ValueError(f"w has right descents {sorted(bad)} in J: not in W^J")
+
+
 def poincare_polynomial(w: AffinePermutation, J: Iterable[int] = ()) -> Polynomial:
     """Rank generating polynomial of {x in W^J : x <= w}.
 
@@ -463,6 +469,5 @@ def poincare_polynomial(w: AffinePermutation, J: Iterable[int] = ()) -> Polynomi
     '1 + 2*q + 2*q^2 + q^3'
     """
     js = frozenset(J)
-    if w.right_descents & js:
-        raise ValueError(f"w has right descents {sorted(w.right_descents & js)} in J: not in W^J")
+    _require_quotient(w, js)
     return Polynomial.from_length_counts(Counter(bruhat_lower_interval(w, js).values()))

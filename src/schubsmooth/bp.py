@@ -26,12 +26,14 @@ complete decomposition w = v_1 v_2 ... v_m along a chain
 dropping one node per level.  When every factor v_i is the maximal element
 of W_{S(v_i)} modulo W_{K_i ∩ S(v_i)}, each level is a Grassmannian fibre
 bundle and the base element is smooth; smooth elements always admit such a
-decomposition, found by preferring s outside D_R(w) in increasing index and
-falling back to maximal parabolic elements.
+decomposition.  Each level keeps the first BP split over its candidate
+nodes s in increasing order; find_grassmannian_bp proves that no later
+split is preferable, and complete_bp_decomposition that every BP split
+continues the chain.
 
-Each level searches on windows and builds no element for a candidate it
-rejects.  For a candidate s, one sort of the values of w on each block of
-positions of K = (S(w) ∪ J) \\ {s} (affine module docstring) gives the
+bp_split works on windows and builds no element for a split it rejects.
+For a proper K, one sort of the values of w on each block of positions of
+K (affine module docstring) gives the
 windows of v and u, and the block's positions listed by increasing value:
 node a + j of the block a..a+m is a left descent of u when the positions of
 the j-th and (j+1)-th smallest values are out of order.  S(v) comes from
@@ -56,6 +58,7 @@ from .affine import (
     _inverse_window,
     _longest_window,
     _nodes,
+    _require_quotient,
     _rises,
     _support_bits,
     cached_attribute,
@@ -66,12 +69,6 @@ from .affine import (
 )
 from .errors import NotSmooth
 from .smoothness import is_smooth
-
-
-def _require_quotient(w: AffinePermutation, js: frozenset[int]) -> None:
-    bad = w.right_descents & js
-    if bad:
-        raise ValueError(f"w has right descents {sorted(bad)} in J: not in W^J")
 
 
 def _bits(nodes: Iterable[int]) -> int:
@@ -98,6 +95,9 @@ def bp_split(
     """The parabolic decomposition w = vu along K when it is BP relative
     to J, that is when S(v) ∩ K ⊆ D_L(u w0(J)), and None when it is not.
 
+    A proper K is cut and tested on windows (module docstring), and only a
+    BP split is built as elements.
+
     >>> from .affine import from_word
     >>> bp_split(from_word(4, [2, 1]), {1}) is not None
     True
@@ -114,28 +114,19 @@ def bp_split(
     if any(not 0 <= i < w.n for i in ks):
         raise ValueError(f"K members must be node indices in 0..{w.n - 1}")
     _require_quotient(w, js)
-    if len(ks) == w.n:
+    n = w.n
+    if len(ks) == n:
         return coset_decompose(w, ks)  # v = e, so S(v) ∩ K is empty
-    split = _window_split(w.n, [w.apply(p) for p in range(2 * w.n)], ks, js)
-    return None if split is None else _build(w, split)[:2]
-
-
-def _window_split(n: int, values: list[int], K: frozenset[int], js: frozenset[int]) -> Optional[tuple]:
-    """bp_split on windows, from values[p] = w(p) for 0 <= p < 2n and a
-    proper K: (vwin, uwin, S(v) as a bitmask, the block orders of the cut,
-    K) when the split is BP, else None.  Node a + j of a block is a left
-    descent of u when order[j] > order[j + 1], the positions of the j-th
-    and (j+1)-th smallest values."""
-    vwin, uwin, orders = _coset_cut(n, values, cycle_runs(n, K))
+    vwin, uwin, orders = _coset_cut(n, [w.apply(p) for p in range(2 * n)], cycle_runs(n, ks))
     descents = 0
     for a, order in orders:
         for j in range(len(order) - 1):
             if order[j] > order[j + 1]:
                 descents |= 1 << (a + j) % n
     v_support = _support_bits(vwin)
-    if not _is_bp(n, v_support, _bits(K), descents, uwin, js):
+    if not _is_bp(n, v_support, _bits(ks), descents, uwin, js):
         return None
-    return vwin, uwin, v_support, orders, K
+    return _build(w, ks, vwin, uwin, v_support, orders)
 
 
 def _is_maximal_factor(v: AffinePermutation, K_next: frozenset[int]) -> bool:
@@ -164,13 +155,14 @@ def _element(n: int, window: list[int], **known) -> AffinePermutation:
     return x
 
 
-def _build(w: AffinePermutation, split: tuple) -> tuple[AffinePermutation, AffinePermutation, frozenset[int]]:
-    """The factors of a window split, carrying what the split knows: the
-    supports, l(u) as the pairs out of order in the block orders,
+def _build(
+    w: AffinePermutation, K: frozenset[int], vwin: list[int], uwin: list[int], v_support: int, orders: list
+) -> tuple[AffinePermutation, AffinePermutation]:
+    """The factors of a window split along K, carrying what the split
+    knows: the supports, l(u) as the pairs out of order in the block orders,
     l(v) = l(w) - l(u), and D_R(u) = D_R(w) ∩ K.  For s in K, us lies in
     W_K, so l(ws) = l(v) + l(us) and ws < w exactly when us < u; u has no
     right descent outside K."""
-    vwin, uwin, v_support, orders, K = split
     n, u_length = w.n, sum(_inversions(order) for _, order in orders)
     v = _element(n, vwin, support=_nodes(n, v_support), length=w.length - u_length)
     u = _element(
@@ -180,7 +172,7 @@ def _build(w: AffinePermutation, split: tuple) -> tuple[AffinePermutation, Affin
         length=u_length,
         right_descents=w.right_descents & K,
     )
-    return v, u, K
+    return v, u
 
 
 def find_grassmannian_bp(
@@ -188,42 +180,42 @@ def find_grassmannian_bp(
 ) -> Optional[tuple[AffinePermutation, AffinePermutation, frozenset[int]]]:
     """A Grassmannian BP decomposition (v, u, K) of w relative to J, or None.
 
-    K = (S(w) ∪ J) \\ {s}.  If w is the maximal element of its (finite)
-    support parabolic, s is the smallest node of S(w) \\ J: every split
-    works.  Otherwise the s of S(w) \\ J outside D_R(w) are tried in
-    increasing order, on windows (module docstring), and the first BP split
-    whose v has proper support is kept; u always has proper support, as it
-    lies in W_K and K misses s.  Failing that, the first BP split found is
-    kept, with v of full support (the twisted spiral case).
+    K = (S(w) ∪ J) \\ {s} for the first candidate s, in increasing order,
+    whose split bp_split accepts.  The candidates are the nodes of
+    S(w) \\ J outside D_R(w).  When w is the maximal element of its
+    (finite) support parabolic, all of S(w) lies in D_R(w), and the one
+    candidate is the smallest node of S(w) \\ J.  u always has proper
+    support, as it lies in W_K and K misses s.
+
+    The first BP split is kept even when its v has full support (the
+    twisted spiral case), for then s is the only candidate:
+
+    - Descent lemma: for w in W^J and t not in J, t ∈ D_R(w w0(J)) implies
+      t ∈ D_R(w).  Indeed w0(J) α_t = α_t + Σ_{j ∈ J} c_j α_j with every
+      c_j >= 0, and w maps each α_j to a positive root, as w is in W^J; so
+      w w0(J) α_t is a negative root only if w α_t is.
+    - If a BP split at s has S(v) = S, then K ⊆ D_L(u w0(J)), and
+      u w0(J) lies in the finite group W_K, as K misses s; so u w0(J) is
+      w0(K), whose right descents are all of K.  As v is in W^K, the
+      product v (u w0(J)) = w w0(J) is reduced, so K ⊆ D_R(w w0(J)), and
+      by the lemma K \\ J ⊆ D_R(w).  Every node of S(w) \\ J but s is in
+      K \\ J: none of them is a candidate.
     """
     js = frozenset(J)
     _require_quotient(w, js)
     sw = w.support
     if sw <= js:
         raise ValueError("S(w) is contained in J: nothing to decompose")
-    full = sw | js
-    n = w.n
-    if len(sw) < n and w.right_descents == sw:
-        # maximal element of a finite parabolic, the one element of W_{S(w)}
-        # whose right descents are all of S(w): every decomposition works
-        s = min(sw - js)
-        K = full - {s}
+    if len(sw) < w.n and w.right_descents == sw:
+        candidates = [min(sw - js)]
+    else:
+        candidates = sorted(sw - js - w.right_descents)
+    for s in candidates:
+        K = (sw | js) - {s}
         split = bp_split(w, K, js)
-        return None if split is None else (*split, K)
-
-    values = [w.apply(p) for p in range(2 * n)]
-    fallback = None
-    for s in sorted(sw - js):
-        if s in w.right_descents:
-            continue
-        split = _window_split(n, values, full - {s}, js)
-        if split is None:
-            continue
-        if split[2] != (1 << n) - 1:  # S(v) is proper
-            return _build(w, split)
-        if fallback is None:
-            fallback = split
-    return None if fallback is None else _build(w, fallback)
+        if split is not None:
+            return (*split, K)
+    return None
 
 
 @dataclass(frozen=True)
@@ -267,11 +259,15 @@ def complete_bp_decomposition(
 ) -> Optional[BPDecomposition]:
     """Iterate find_grassmannian_bp until the support is exhausted.
 
-    Returns None when some level admits no Grassmannian BP decomposition
-    (or the chain property K_i = S(u_{i+1}) ∪ J fails, which cannot happen
-    for J = ()).  Succeeds for every smooth w.  Each level hands its u, with
-    the support, length and right descents its split carried, to the next;
-    the last u is checked to be the identity by its window.
+    Returns None when some level admits no Grassmannian BP decomposition.
+    Succeeds for every smooth w.  Each level hands its u, with the support,
+    length and right descents its split carried, to the next; the last u is
+    checked to be the identity by its window.
+
+    Every BP split continues the chain K_i = S(u_{i+1}) ∪ J, for every J:
+    S(w) = S(v) ∪ S(u) with S(u) ⊆ K, and the BP test gives
+    S(v) ∩ K ⊆ D_L(u w0(J)) ⊆ S(u) ∪ J, so K = (S(w) ∪ J) \\ {s} lies in
+    S(u) ∪ J, which lies in K.
     """
     js = frozenset(J)
     _require_quotient(w, js)
@@ -284,8 +280,7 @@ def complete_bp_decomposition(
         if hit is None:
             return None
         v, u_next, K = hit
-        if u_next.support | js != K:
-            return None  # not Grassmannian with respect to S(u_{i+1}) ∪ J
+        assert u_next.support | js == K, "a BP split continues the chain"
         factors.append(v)
         flags.append(_is_maximal_factor(v, K))
         chain.append(K)

@@ -78,17 +78,44 @@ def test_is_bp_validation():
 
 
 def test_find_grassmannian_bp_shape():
-    for w in sorted(enumerate_smooth(3), key=lambda w: (w.length, w.window)):
-        if w.is_identity():
-            continue
-        hit = find_grassmannian_bp(w)
+    # every smooth element of period 3 relative to J empty, and two levels
+    # whose v has full support (window, J, K)
+    smooth = sorted(enumerate_smooth(3), key=lambda w: (w.length, w.window))
+    full = [((-1, -3, 10), (), {0, 1}), ((4, 8, -6), (0,), {0, 2})]
+    cases = [(w, (), None) for w in smooth if not w.is_identity()]
+    cases += [(from_window(3, window), J, K) for window, J, K in full]
+    for w, J, want in cases:
+        hit = find_grassmannian_bp(w, J)
         assert hit is not None
         v, u, K = hit
         assert v * u == w
         assert v.length + u.length == w.length
-        assert len(w.support - K) == 1
+        assert len((w.support | set(J)) - K) == 1
         assert not (v.right_descents & K)
         assert u.support <= K
+        if want is not None:
+            assert K == want and v.support == {0, 1, 2}, w.window
+
+
+def test_descent_lemma_and_lone_full_support_candidate():
+    # the two facts find_grassmannian_bp rests on, for every J of ascents:
+    # D_R(w w0(J)) \ J lies in D_R(w), and a BP split whose v has full
+    # support is at the only candidate s
+    pairs = splits = 0
+    for w in ball(3, 10) | ball(4, 8) | ball(5, 6):
+        nodes = frozenset(range(w.n))
+        for J in subsets(nodes - w.right_descents):
+            if J == nodes:
+                continue  # only the identity, and W_S is infinite
+            assert (w * longest_element(w.n, J)).right_descents - J <= w.right_descents, (w.window, sorted(J))
+            pairs += 1
+            candidates = sorted(w.support - J - w.right_descents)
+            for s in candidates:
+                split = bp_split(w, (w.support | J) - {s}, J)
+                if split is not None and split[0].support == nodes:
+                    assert candidates == [s], (w.window, sorted(J))
+                    splits += 1
+    assert (pairs, splits) == (7397, 250)
 
 
 def test_complete_decomposition_matches_element_search_oracle():

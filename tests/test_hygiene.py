@@ -14,6 +14,9 @@ module reads it as a name or an attribute, so no public name exists only
 for the tests.  The same holds for every public method of a package class,
 apart from a few named exemptions.  A load through a package class counts
 only for that class's method, and a parsed option ``args.name`` for none.
+Every private function at module level, and every private method, is read
+somewhere in the package outside its own body, so no helper outlives its
+last caller.
 
 Every name the benchmark reads from the package still exists: the methods
 and functions that bench/tracing.py wraps by name, and the ``S.<name>``
@@ -25,6 +28,7 @@ import ast
 import importlib.util
 import inspect
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -156,16 +160,20 @@ def test_caches_are_bounded(path):
     assert cached_property == []
 
 
+def _loads(tree) -> Counter[str]:
+    """How often each name is read under an AST node, as a bare name or as
+    an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
 def loaded_names(source: str) -> set[str]:
     """Names a module reads, as a bare name or as an attribute; import
     statements, definitions and docstrings do not count."""
-    out = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.add(node.attr)
-    return out
+    return set(_loads(ast.parse(source)))
 
 
 def test_loaded_names_skip_imports_definitions_and_docstrings():
@@ -249,6 +257,46 @@ def test_every_public_method_has_a_package_caller():
     assert sorted(uncalled - set(UNCALLED_METHODS) - TRACED_METHODS) == []
     # an exemption that gained a caller, or lost its method, is stale
     assert sorted(set(UNCALLED_METHODS) - uncalled) == []
+
+
+def uncalled_private(sources: list[str]) -> set[str]:
+    """Private functions defined at module level, and private methods of
+    module-level classes, that no source reads outside their own body;
+    dunder methods are not private.  Names are matched across modules, as a
+    private helper may be imported by a sibling module."""
+    trees = [ast.parse(s) for s in sources]
+    loads = sum((_loads(t) for t in trees), Counter())
+    defs = [
+        item
+        for tree in trees
+        for node in tree.body
+        for item in (node.body if isinstance(node, ast.ClassDef) else [node])
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and item.name.startswith("_")
+        and not item.name.endswith("__")
+    ]
+    return {d.name for d in defs if loads[d.name] == _loads(d)[d.name]}
+
+
+def test_uncalled_private_skips_own_body_dunders_and_nested_functions():
+    source = (
+        "def _a(): pass\n"
+        "def _b(n): return _b(n - 1)\n"
+        "class C:\n"
+        "    def __init__(self): self._m()\n"
+        "    def _m(self): pass\n"
+        "    def _k(self): pass\n"
+        "def f():\n"
+        "    def _h(): pass\n"
+        "    return _a\n"
+    )
+    assert uncalled_private([source]) == {"_b", "_k"}
+    assert uncalled_private([source, "from m import _b, _k\nx = _b(C()._k())\n"]) == set()
+
+
+def test_every_private_function_has_a_package_caller():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert sorted(uncalled_private(sources)) == []
 
 
 # ----------------------------------------------------------------------
