@@ -10,7 +10,6 @@ from .affine import (
     AffinePermutation,
     ball_levels,
     bruhat_lower_interval,
-    coset_decompose,
     cycle_runs,
     from_window,
     from_word,
@@ -22,10 +21,8 @@ from .affine import (
 from .bp import (
     BPDecomposition,
     GrassmannianLabel,
-    bp_split,
     complete_bp_decomposition,
     fibre_tower,
-    find_grassmannian_bp,
     is_smooth_partial,
 )
 from .errors import BudgetExceeded, MalformedDiagram, NotSmooth

@@ -169,14 +169,25 @@ class AffinePermutation:
     def reduced_word(self) -> tuple[int, ...]:
         """Reduced word by greedy right-descent stripping, smallest index first.
 
+        Stripping s_i changes only whether i - 1, i and i + 1 (mod n) are
+        descents, and no node below i was one, so the scan for the next
+        smallest descent resumes at i - 1; after s_{n-1} it is at 0 when 0,
+        the i + 1 that wraps, became a descent.  That is O(n + l) steps, not
+        a rescan of n nodes per letter.
+
         >>> from_word(3, [2, 1]).reduced_word
         (2, 1)
         """
         n, win = self.n, list(self.window)
         letters: list[int] = []
-        while (i := next((j for j in range(n) if not _rises(win, j)), None)) is not None:
+        i = 0
+        while i < n:
+            if _rises(win, i):
+                i += 1
+                continue
             letters.append(i)
             _swap(win, i)
+            i = i - 1 if i and (i < n - 1 or _rises(win, 0)) else 0
         return tuple(reversed(letters))
 
     @cached_attribute
@@ -315,6 +326,11 @@ def cycle_runs(n: int, subset: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     mask = 0
     for v in vs:
         mask |= 1 << v
+    return _runs(n, mask)
+
+
+def _runs(n: int, mask: int) -> tuple[tuple[int, ...], ...]:
+    """cycle_runs of a proper subset given as a bitmask over 0..n-1."""
     runs = []
     starts = run_starts(n, mask)
     while starts:
@@ -323,7 +339,7 @@ def cycle_runs(n: int, subset: Iterable[int]) -> tuple[tuple[int, ...], ...]:
         start = low.bit_length() - 1
         run = [start]
         v = (start + 1) % n
-        while v in vs:
+        while mask >> v & 1:
             run.append(v)
             v = (v + 1) % n
         runs.append(tuple(run))

@@ -27,29 +27,29 @@ dropping one node per level.  When every factor v_i is the maximal element
 of W_{S(v_i)} modulo W_{K_i ∩ S(v_i)}, each level is a Grassmannian fibre
 bundle and the base element is smooth; smooth elements always admit such a
 decomposition.  Each level keeps the first BP split over its candidate
-nodes s in increasing order; find_grassmannian_bp proves that no later
+nodes s in increasing order; _find_grassmannian_bp proves that no later
 split is preferable, and complete_bp_decomposition that every BP split
 continues the chain.
 
-bp_split works on windows and builds no element for a split it rejects.
-For a proper K, one sort of the values of w on each block of positions of
-K (affine module docstring) gives the
-windows of v and u, and the block's positions listed by increasing value:
-node a + j of the block a..a+m is a left descent of u when the positions of
-the j-th and (j+1)-th smallest values are out of order.  S(v) comes from
-prefix and suffix maxima of the window of v, the routine behind
-AffinePermutation.support, so the BP test costs O(n) past the sorts.  The
-split kept is built as two elements, v and u, which carry their supports
-and lengths to the next level: l(u) is the number of pairs out of order in
-the block orders, and l(v) = l(w) - l(u).  u also carries its right
-descents, D_R(w) ∩ K.
+The chain is walked on windows and bitmasks.  Each level receives from the
+one before the window of its element, the length, and the support and right
+descents as int bitmasks over the nodes, and K is a bitmask too.  For each
+candidate K, one sort of the values on each block of positions of K
+(affine module docstring) gives the windows of v and u and the block's
+positions listed by increasing value; D_L(u), S(u) and l(u) are read off
+those orders, and S(v) off prefix and suffix maxima of the window of v, the
+routine behind AffinePermutation.support.  So a candidate costs O(n) past
+the sorts and builds nothing.  Of the split kept, only v is built as a
+checked element, carrying its support and l(v) = l(w) - l(u); u passes on
+as a window with D_R(u) = D_R(w) ∩ K.  So a decomposition builds one
+element per level.
 """
 
 from __future__ import annotations
 
 from bisect import bisect, insort
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .affine import (
     AffinePermutation,
@@ -60,9 +60,9 @@ from .affine import (
     _nodes,
     _require_quotient,
     _rises,
+    _runs,
     _support_bits,
     cached_attribute,
-    coset_decompose,
     cycle_runs,
     longest_element,
     longest_length,
@@ -89,46 +89,6 @@ def _is_bp(n: int, v_support: int, ks: int, u_descents: int, uwin: list[int], js
     return not any(_rises(inv, i) for i in _nodes(n, rest))
 
 
-def bp_split(
-    w: AffinePermutation, K: Iterable[int], J: Iterable[int] = ()
-) -> Optional[tuple[AffinePermutation, AffinePermutation]]:
-    """The parabolic decomposition w = vu along K when it is BP relative
-    to J, that is when S(v) ∩ K ⊆ D_L(u w0(J)), and None when it is not.
-
-    A proper K is cut and tested on windows (module docstring), and only a
-    BP split is built as elements.
-
-    >>> from .affine import from_word
-    >>> bp_split(from_word(4, [2, 1]), {1}) is not None
-    True
-    >>> bp_split(from_word(4, [1, 2]), {1}) is not None
-    False
-    >>> bp_split(from_word(3, [0, 1]), {0}, {0}) is not None
-    True
-    >>> bp_split(from_word(3, [1, 2]), {0, 1}, {0}) is not None
-    False
-    """
-    ks, js = frozenset(K), frozenset(J)
-    if not js <= ks:
-        raise ValueError(f"J must be contained in K, got J={sorted(js)} K={sorted(ks)}")
-    if any(not 0 <= i < w.n for i in ks):
-        raise ValueError(f"K members must be node indices in 0..{w.n - 1}")
-    _require_quotient(w, js)
-    n = w.n
-    if len(ks) == n:
-        return coset_decompose(w, ks)  # v = e, so S(v) ∩ K is empty
-    vwin, uwin, orders = _coset_cut(n, [w.apply(p) for p in range(2 * n)], cycle_runs(n, ks))
-    descents = 0
-    for a, order in orders:
-        for j in range(len(order) - 1):
-            if order[j] > order[j + 1]:
-                descents |= 1 << (a + j) % n
-    v_support = _support_bits(vwin)
-    if not _is_bp(n, v_support, _bits(ks), descents, uwin, js):
-        return None
-    return _build(w, ks, vwin, uwin, v_support, orders)
-
-
 def _is_maximal_factor(v: AffinePermutation, K_next: frozenset[int]) -> bool:
     """v maximal in W_{S(v)} modulo W_{K ∩ S(v)}: test by the length identity."""
     sv = v.support
@@ -147,45 +107,54 @@ def _inversions(order: list[int]) -> int:
     return count
 
 
-def _element(n: int, window: list[int], **known) -> AffinePermutation:
-    """A checked element that stores values already known, such as its
-    support and length, as its cached attributes."""
-    x = AffinePermutation(n, tuple(window))
-    x.__dict__.update(known)
-    return x
+def _bp_cut(
+    n: int, values: list[int], ks: int, js: frozenset[int]
+) -> Optional[tuple[list[int], int, list[int], int, int]]:
+    """The parabolic split w = vu along a proper K, a bitmask, when it is BP
+    relative to J, from values[p] = w(p) for 0 <= p < 2n: the window of v,
+    S(v) as a bitmask, the window of u, l(u) and S(u) as a bitmask.  None
+    when the split is not BP.
+
+    Everything about u is read off the block orders of the cut: u sends
+    order[k] to a + k, so node a + j of the block a..a+m is a left descent
+    of u when order[j] > order[j + 1], and lies in S(u) when
+    max(order[0..j]) > a + j, as u⁻¹ maps a..a+j into itself otherwise
+    (affine module docstring); l(u) is the number of pairs out of order."""
+    vwin, uwin, orders = _coset_cut(n, values, _runs(n, ks))
+    descents = u_support = u_length = 0
+    for a, order in orders:
+        top = order[0]
+        for j in range(len(order) - 1):
+            bit, after = 1 << (a + j) % n, order[j + 1]
+            if order[j] > after:
+                descents |= bit
+            if top > a + j:
+                u_support |= bit
+            if after > top:
+                top = after
+        u_length += _inversions(order)
+    v_support = _support_bits(vwin)
+    if not _is_bp(n, v_support, ks, descents, uwin, js):
+        return None
+    return vwin, v_support, uwin, u_length, u_support
 
 
-def _build(
-    w: AffinePermutation, K: frozenset[int], vwin: list[int], uwin: list[int], v_support: int, orders: list
-) -> tuple[AffinePermutation, AffinePermutation]:
-    """The factors of a window split along K, carrying what the split
-    knows: the supports, l(u) as the pairs out of order in the block orders,
-    l(v) = l(w) - l(u), and D_R(u) = D_R(w) ∩ K.  For s in K, us lies in
-    W_K, so l(ws) = l(v) + l(us) and ws < w exactly when us < u; u has no
-    right descent outside K."""
-    n, u_length = w.n, sum(_inversions(order) for _, order in orders)
-    v = _element(n, vwin, support=_nodes(n, v_support), length=w.length - u_length)
-    u = _element(
-        n,
-        uwin,
-        support=_nodes(n, _support_bits(uwin)),
-        length=u_length,
-        right_descents=w.right_descents & K,
-    )
-    return v, u
-
-
-def find_grassmannian_bp(
-    w: AffinePermutation, J: Iterable[int] = ()
-) -> Optional[tuple[AffinePermutation, AffinePermutation, frozenset[int]]]:
-    """A Grassmannian BP decomposition (v, u, K) of w relative to J, or None.
+def _find_grassmannian_bp(
+    n: int, window: Sequence[int], length: int, support: int, descents: int, js: frozenset[int]
+) -> Optional[tuple[AffinePermutation, int, list[int], int, int, int]]:
+    """A Grassmannian BP decomposition w = vu relative to J, from the
+    window of w, l(w), and S(w) and D_R(w) as bitmasks: (v, K, and the
+    window, length, support and right descents of u), with K and the sets
+    as bitmasks, or None.  Only v is built as an element.
 
     K = (S(w) ∪ J) \\ {s} for the first candidate s, in increasing order,
-    whose split bp_split accepts.  The candidates are the nodes of
+    whose split _bp_cut accepts.  The candidates are the nodes of
     S(w) \\ J outside D_R(w).  When w is the maximal element of its
     (finite) support parabolic, all of S(w) lies in D_R(w), and the one
     candidate is the smallest node of S(w) \\ J.  u always has proper
-    support, as it lies in W_K and K misses s.
+    support, as it lies in W_K and K misses s.  D_R(u) = D_R(w) ∩ K: for t
+    in K, ut lies in W_K, so l(wt) = l(v) + l(ut) and wt < w exactly when
+    ut < u; u has no right descent outside K.
 
     The first BP split is kept even when its v has full support (the
     twisted spiral case), for then s is the only candidate:
@@ -194,27 +163,30 @@ def find_grassmannian_bp(
       t ∈ D_R(w).  Indeed w0(J) α_t = α_t + Σ_{j ∈ J} c_j α_j with every
       c_j >= 0, and w maps each α_j to a positive root, as w is in W^J; so
       w w0(J) α_t is a negative root only if w α_t is.
-    - If a BP split at s has S(v) = S, then K ⊆ D_L(u w0(J)), and
+    - If a BP split w = vu at s has S(v) = S, then K ⊆ D_L(u w0(J)), and
       u w0(J) lies in the finite group W_K, as K misses s; so u w0(J) is
       w0(K), whose right descents are all of K.  As v is in W^K, the
       product v (u w0(J)) = w w0(J) is reduced, so K ⊆ D_R(w w0(J)), and
       by the lemma K \\ J ⊆ D_R(w).  Every node of S(w) \\ J but s is in
       K \\ J: none of them is a candidate.
     """
-    js = frozenset(J)
-    _require_quotient(w, js)
-    sw = w.support
-    if sw <= js:
-        raise ValueError("S(w) is contained in J: nothing to decompose")
-    if len(sw) < w.n and w.right_descents == sw:
-        candidates = [min(sw - js)]
+    jbits = _bits(js)
+    if support != (1 << n) - 1 and descents == support:
+        rest = support & ~jbits
+        candidates = rest & -rest
     else:
-        candidates = sorted(sw - js - w.right_descents)
-    for s in candidates:
-        K = (sw | js) - {s}
-        split = bp_split(w, K, js)
-        if split is not None:
-            return (*split, K)
+        candidates = support & ~jbits & ~descents
+    values = [window[-1] - n, *window, *[x + n for x in window[:-1]]]
+    while candidates:
+        s = candidates & -candidates
+        candidates ^= s
+        ks = (support | jbits) & ~s
+        cut = _bp_cut(n, values, ks, js)
+        if cut is not None:
+            vwin, v_support, uwin, u_length, u_support = cut
+            v = AffinePermutation(n, tuple(vwin))
+            v.__dict__.update(support=_nodes(n, v_support), length=length - u_length)  # cached attributes
+            return v, ks, uwin, u_length, u_support, descents & ks
     return None
 
 
@@ -257,12 +229,12 @@ class BPDecomposition:
 def complete_bp_decomposition(
     w: AffinePermutation, J: Iterable[int] = ()
 ) -> Optional[BPDecomposition]:
-    """Iterate find_grassmannian_bp until the support is exhausted.
+    """Iterate _find_grassmannian_bp until the support is exhausted.
 
     Returns None when some level admits no Grassmannian BP decomposition.
-    Succeeds for every smooth w.  Each level hands its u, with the support,
-    length and right descents its split carried, to the next; the last u is
-    checked to be the identity by its window.
+    Succeeds for every smooth w.  Each level hands the window, length,
+    support and right descents of its u to the next; the last u is checked
+    to be the identity by its window.
 
     Every BP split continues the chain K_i = S(u_{i+1}) ∪ J, for every J:
     S(w) = S(v) ∪ S(u) with S(u) ⊆ K, and the BP test gives
@@ -271,21 +243,22 @@ def complete_bp_decomposition(
     """
     js = frozenset(J)
     _require_quotient(w, js)
+    n, jbits = w.n, _bits(js)
+    window, length, support, descents = w.window, w.length, _support_bits(w.window), _bits(w.right_descents)
     factors: list[AffinePermutation] = []
-    chain: list[frozenset[int]] = [w.support | js]
+    chain: list[frozenset[int]] = [_nodes(n, support | jbits)]
     flags: list[bool] = []
-    u = w
-    while not u.support <= js:
-        hit = find_grassmannian_bp(u, js)
+    while support & ~jbits:
+        hit = _find_grassmannian_bp(n, window, length, support, descents, js)
         if hit is None:
             return None
-        v, u_next, K = hit
-        assert u_next.support | js == K, "a BP split continues the chain"
+        v, ks, window, length, support, descents = hit
+        assert support | jbits == ks, "a BP split continues the chain"
+        K = _nodes(n, ks)
         factors.append(v)
         flags.append(_is_maximal_factor(v, K))
         chain.append(K)
-        u = u_next
-    assert u.is_identity(), "W^J ∩ W_J is trivial"
+    assert list(window) == list(range(1, n + 1)), "W^J ∩ W_J is trivial"
     return BPDecomposition(w=w, factors=tuple(factors), chain=tuple(chain), maximal=tuple(flags))
 
 

@@ -166,10 +166,10 @@ def criterion_7(scale: str = "full") -> tuple[bool, str]:
 
 
 def criterion_8(scale: str = "full") -> tuple[bool, str]:
-    """Every smooth element with n <= 5 (n <= 4 at small scale) has a
+    """Every smooth element with n <= 6 (n <= 5 at small scale) has a
     complete maximal BP decomposition with finite type A factors and
     additive lengths, each factor's length counted afresh from its window."""
-    n_top = _cap(scale, 5)
+    n_top = _cap(scale, 6)
     checked = 0
     ok = True
     for n in range(2, n_top + 1):

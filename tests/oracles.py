@@ -32,10 +32,19 @@ the identity by one descent test.
 ``is_twisted_spiral_by_words`` recognizes twisted spirals through their
 reduced words, where the package reads spirals off windows.
 
+``bp_split`` is not an oracle but a thin adapter over the package's
+per-candidate window test: it returns the parabolic split of an element
+when that split is BP, so that the defining identity and the element
+search below can call the package's test on elements.
+
 ``bp_decomposition_by_elements`` searches for a complete Grassmannian BP
 decomposition over elements, one coset_decompose and one bp_split per
-candidate node, where the package cuts and tests each candidate on windows
-and builds only the split it keeps.
+candidate node, where the package walks the chain on windows and bitmasks
+and builds only the left factor of each level.
+
+``reduced_word_by_rescan`` strips the smallest right descent and rescans
+every node after each letter, where the package resumes its scan next to
+the letter it stripped.
 
 ``coset_decompose_by_stripping`` finds the minimal coset representative by
 stripping right descents in K one letter at a time, where the package sorts
@@ -62,7 +71,7 @@ from schubsmooth.affine import (
     identity,
     longest_element,
 )
-from schubsmooth.bp import bp_split
+from schubsmooth.bp import _bp_cut
 from schubsmooth.staircase import DECREASING, INCREASING, BrokenStaircase, StaircaseDiagram
 
 
@@ -632,3 +641,28 @@ def bp_decomposition_by_elements(w: AffinePermutation, J=()):
         )
         chain.append(K)
     return tuple(factors), tuple(chain), tuple(flags)
+
+
+def bp_split(w: AffinePermutation, K, J=()) -> Optional[tuple[AffinePermutation, AffinePermutation]]:
+    """coset_decompose(w, K) when the split is BP relative to J, else None:
+    the package's window test bp._bp_cut on an element.  A full K gives
+    v = e, which is always BP."""
+    n, ks = w.n, frozenset(K)
+    if len(ks) < n:
+        values = [w.apply(p) for p in range(2 * n)]
+        if _bp_cut(n, values, sum(1 << k for k in ks), frozenset(J)) is None:
+            return None
+    return coset_decompose(w, ks)
+
+
+def reduced_word_by_rescan(w: AffinePermutation) -> tuple[int, ...]:
+    """A reduced word of w by stripping the smallest right descent, found by
+    a scan of every node after each stripped letter."""
+    n, x = w.n, w
+    letters = []
+    while True:
+        descents = [i for i in range(n) if x.apply(i) > x.apply(i + 1)]
+        if not descents:
+            return tuple(reversed(letters))
+        letters.append(descents[0])
+        x = x.times_s(descents[0])

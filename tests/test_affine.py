@@ -21,6 +21,7 @@ from oracles import (
     longest_element_by_word,
     poincare_by_subwords,
     product_by_apply,
+    reduced_word_by_rescan,
     subword_lower_set,
 )
 from schubsmooth.affine import (
@@ -204,6 +205,24 @@ def test_reduced_word_reproduces_element():
         assert from_word(3, word) == w
     assert from_word(4, [2, 3, 1, 2]).reduced_word == (2, 3, 1, 2)
     assert from_word(4, [2, 3, 1, 2]).window == (3, 4, 1, 2)
+
+
+def test_reduced_word_matches_rescan_greedy():
+    # the scan that resumes next to each stripped letter finds the same
+    # smallest descent as a scan of every node: every element of small
+    # balls, and random words up to n = 40
+    checked = 0
+    for n, radius in ((2, 12), (3, 9), (4, 7), (5, 6), (6, 5)):
+        for level in itertools.islice(ball_levels(n), radius + 1):
+            for w in level:
+                assert w.reduced_word == reduced_word_by_rescan(w), w.window
+                checked += 1
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randrange(2, 41)
+        w = from_word(n, [rng.randrange(n) for _ in range(rng.randrange(3 * n))])
+        assert w.reduced_word == reduced_word_by_rescan(w), w.window
+    assert checked == 1374
 
 
 def test_support_ignores_stripping_order():

@@ -14,6 +14,7 @@ from oracles import (
     ball,
     bounded_windows,
     bp_decomposition_by_elements,
+    bp_split,
     gaussian_binomial_by_subsets,
     is_bp_by_poincare,
 )
@@ -28,10 +29,9 @@ from schubsmooth.affine import (
 from schubsmooth.bp import (
     BPDecomposition,
     GrassmannianLabel,
-    bp_split,
+    _find_grassmannian_bp,
     complete_bp_decomposition,
     fibre_tower,
-    find_grassmannian_bp,
     is_smooth_partial,
 )
 from schubsmooth.errors import NotSmooth
@@ -67,29 +67,28 @@ def test_is_bp_equals_poincare_factorization():
     assert bp_split(identity(3), {0, 1, 2}, {0, 1, 2}) == (identity(3), identity(3))
 
 
-def test_is_bp_validation():
-    w = from_word(3, [0, 1])
-    with pytest.raises(ValueError):
-        bp_split(w, {1}, {0})  # J not inside K
-    with pytest.raises(ValueError):
-        bp_split(w, {5})
-    with pytest.raises(ValueError):
-        bp_split(w, {0, 1}, {1})  # w has a right descent in J
+def bits(nodes):
+    return sum(1 << i for i in nodes)
 
 
 def test_find_grassmannian_bp_shape():
-    # every smooth element of period 3 relative to J empty, and two levels
-    # whose v has full support (window, J, K)
+    # the level routine on every smooth element of period 3 relative to J
+    # empty, and on two levels whose v has full support (window, J, K); the
+    # second has no complete decomposition, so only its level is checked
     smooth = sorted(enumerate_smooth(3), key=lambda w: (w.length, w.window))
     full = [((-1, -3, 10), (), {0, 1}), ((4, 8, -6), (0,), {0, 2})]
     cases = [(w, (), None) for w in smooth if not w.is_identity()]
     cases += [(from_window(3, window), J, K) for window, J, K in full]
+    assert complete_bp_decomposition(from_window(3, (4, 8, -6)), {0}) is None
     for w, J, want in cases:
-        hit = find_grassmannian_bp(w, J)
+        hit = _find_grassmannian_bp(w.n, w.window, w.length, bits(w.support), bits(w.right_descents), frozenset(J))
         assert hit is not None
-        v, u, K = hit
+        v, ks, uwin, u_length, u_support, u_descents = hit
+        u = from_window(w.n, uwin)
+        K = frozenset(i for i in range(w.n) if ks >> i & 1)
         assert v * u == w
         assert v.length + u.length == w.length
+        assert (u_length, u_support, u_descents) == (u.length, bits(u.support), bits(u.right_descents))
         assert len((w.support | set(J)) - K) == 1
         assert not (v.right_descents & K)
         assert u.support <= K
@@ -98,7 +97,7 @@ def test_find_grassmannian_bp_shape():
 
 
 def test_descent_lemma_and_lone_full_support_candidate():
-    # the two facts find_grassmannian_bp rests on, for every J of ascents:
+    # the two facts _find_grassmannian_bp rests on, for every J of ascents:
     # D_R(w w0(J)) \ J lies in D_R(w), and a BP split whose v has full
     # support is at the only candidate s
     pairs = splits = 0
@@ -132,10 +131,10 @@ def test_complete_decomposition_matches_element_search_oracle():
     assert pairs == 5424
 
 
-def test_decomposition_builds_two_elements_per_level(monkeypatch):
-    # rejected candidates stay windows: each level builds its two factors,
-    # and the support, length and right descents they carry from the split
-    # are those of a fresh element with the same window
+def test_decomposition_builds_one_element_per_level(monkeypatch):
+    # rejected candidates and every u stay windows: each level builds its
+    # v alone, and the support and length it carries from the split are
+    # those of a fresh element with the same window
     pool = [AffinePermutation(n, w.window) for n in range(2, 6) for w in enumerate_smooth(n)]
     built = []
     check = AffinePermutation.__post_init__
@@ -152,13 +151,12 @@ def test_decomposition_builds_two_elements_per_level(monkeypatch):
         counts.append((len(built) - before, depth))
     monkeypatch.undo()
     assert len(pool) == 1100
-    assert all(count <= 2 * depth + 2 for count, depth in counts)
+    assert all(count == depth for count, depth in counts)
     for x in built:
         fresh = AffinePermutation(x.n, x.window)
         assert {"support", "length"} <= vars(x).keys(), x.window
-        for name in ("support", "length", "right_descents"):
-            if name in vars(x):
-                assert vars(x)[name] == getattr(fresh, name), (x.window, name)
+        for name in ("support", "length"):
+            assert vars(x)[name] == getattr(fresh, name), (x.window, name)
 
 
 def test_complete_decomposition_of_smooth_elements():
