@@ -15,7 +15,6 @@ from .affine import (
     from_word,
     identity,
     longest_element,
-    longest_length,
     poincare_polynomial,
 )
 from .bp import (

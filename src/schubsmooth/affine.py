@@ -235,6 +235,14 @@ def _nodes(n: int, bits: int) -> frozenset[int]:
     return frozenset(i for i in range(n) if bits >> i & 1)
 
 
+def _bits(nodes: Iterable[int]) -> int:
+    """The bitmask of a set of nodes, the inverse of _nodes."""
+    mask = 0
+    for v in nodes:
+        mask |= 1 << v
+    return mask
+
+
 def _inverse_window(window: Sequence[int]) -> list[int]:
     """The window of w⁻¹: w(i) = qn + r + 1 with 0 <= r < n gives w⁻¹(r + 1) = i - qn."""
     n = len(window)
@@ -323,10 +331,7 @@ def cycle_runs(n: int, subset: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     vs = subset if isinstance(subset, (set, frozenset)) else set(subset)
     if len(vs) == n:
         return (tuple(range(n)),)
-    mask = 0
-    for v in vs:
-        mask |= 1 << v
-    return _runs(n, mask)
+    return _runs(n, _bits(vs))
 
 
 def _runs(n: int, mask: int) -> tuple[tuple[int, ...], ...]:
@@ -344,18 +349,6 @@ def _runs(n: int, mask: int) -> tuple[tuple[int, ...], ...]:
             v = (v + 1) % n
         runs.append(tuple(run))
     return tuple(runs)
-
-
-def longest_length(n: int, subset: Iterable[int]) -> int:
-    """Length of the longest element of the parabolic subgroup W_subset.
-
-    Each connected run of m nodes is a copy of the symmetric group S_{m+1},
-    contributing m(m+1)/2.
-    """
-    sub = frozenset(subset)
-    if len(sub) >= n:
-        raise ValueError("subset must be proper: the full cycle generates an infinite group")
-    return sum(len(c) * (len(c) + 1) // 2 for c in cycle_runs(n, sub))
 
 
 def longest_element(n: int, subset: Iterable[int]) -> AffinePermutation:
@@ -455,6 +448,8 @@ def bruhat_lower_interval(w: AffinePermutation, J: Iterable[int] = ()) -> dict[t
     >>> sorted(bruhat_lower_interval(w, {1}).values())
     [0, 1, 2]
     """
+    js = frozenset(J)
+    _require_nodes(w.n, js)
     if w.length > INTERVAL_CAP:
         raise BudgetExceeded(f"interval of an element of length {w.length} exceeds cap {INTERVAL_CAP}")
     lengths = {tuple(range(1, w.n + 1)): 0}
@@ -466,13 +461,21 @@ def bruhat_lower_interval(w: AffinePermutation, J: Iterable[int] = ()) -> dict[t
                 _swap(y, i)
                 grown[tuple(y)] = length + 1
         lengths.update(grown)
-    js = frozenset(J)
     if not js:
         return lengths
     return {x: length for x, length in lengths.items() if all(_rises(x, j) for j in js)}
 
 
+def _require_nodes(n: int, js: frozenset[int]) -> None:
+    """Reject a J holding anything but node indices 0..n-1."""
+    bad = sorted(j for j in js if not 0 <= j < n)
+    if bad:
+        raise ValueError(f"J nodes {bad} outside 0..{n - 1}")
+
+
 def _require_quotient(w: AffinePermutation, js: frozenset[int]) -> None:
+    """Reject a J outside the nodes or holding a right descent of w."""
+    _require_nodes(w.n, js)
     bad = w.right_descents & js
     if bad:
         raise ValueError(f"w has right descents {sorted(bad)} in J: not in W^J")

@@ -43,6 +43,10 @@ the sorts and builds nothing.  Of the split kept, only v is built as a
 checked element, carrying its support and l(v) = l(w) - l(u); u passes on
 as a window with D_R(u) = D_R(w) ∩ K.  So a decomposition builds one
 element per level.
+
+Each level is a Grassmannian fibre Gr(a, m), labelled by s and the run
+S(v), and v is maximal exactly when S(v) is proper and l(v) = a(m - a),
+the dimension of Gr(a, m) (Richmond-Slofstra; BPDecomposition proves it).
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from typing import Iterable, Optional, Sequence
 
 from .affine import (
     AffinePermutation,
+    _bits,
     _compose,
     _coset_cut,
     _inverse_window,
@@ -62,39 +67,27 @@ from .affine import (
     _rises,
     _runs,
     _support_bits,
-    cached_attribute,
-    cycle_runs,
     longest_element,
-    longest_length,
 )
 from .errors import NotSmooth
 from .smoothness import is_smooth
 
 
-def _bits(nodes: Iterable[int]) -> int:
-    return sum(1 << i for i in nodes)
-
-
-def _is_bp(n: int, v_support: int, ks: int, u_descents: int, uwin: list[int], js: frozenset[int]) -> bool:
+def _is_bp(
+    n: int, v_support: int, ks: int, u_descents: int, uwin: list[int], j0: Optional[Sequence[int]]
+) -> bool:
     """The BP test S(v) ∩ K ⊆ D_L(u w0(J)), on bitmasks of S(v), K and
-    D_L(u) and the window of u.  D_L(u) lies in D_L(u w0(J)), so u w0(J) is
-    composed, on windows, only for the nodes of S(v) ∩ K outside D_L(u);
-    for J empty, u w0(J) = u and there are none to find."""
+    D_L(u), the window of u and j0, the window of w0(J) (None for J empty).
+    D_L(u) lies in D_L(u w0(J)), so u w0(J) is composed, on windows, only
+    for the nodes of S(v) ∩ K outside D_L(u); for J empty, u w0(J) = u and
+    there are none to find."""
     rest = v_support & ks & ~u_descents
     if not rest:
         return True
-    if not js:
+    if j0 is None:
         return False
-    inv = _inverse_window(_compose(n, uwin, _longest_window(n, js)))
+    inv = _inverse_window(_compose(n, uwin, j0))
     return not any(_rises(inv, i) for i in _nodes(n, rest))
-
-
-def _is_maximal_factor(v: AffinePermutation, K_next: frozenset[int]) -> bool:
-    """v maximal in W_{S(v)} modulo W_{K ∩ S(v)}: test by the length identity."""
-    sv = v.support
-    if len(sv) >= v.n:
-        return False  # full support: no longest element to compare against
-    return v.length == longest_length(v.n, sv) - longest_length(v.n, K_next & sv)
 
 
 def _inversions(order: list[int]) -> int:
@@ -108,12 +101,12 @@ def _inversions(order: list[int]) -> int:
 
 
 def _bp_cut(
-    n: int, values: list[int], ks: int, js: frozenset[int]
+    n: int, values: list[int], ks: int, j0: Optional[Sequence[int]]
 ) -> Optional[tuple[list[int], int, list[int], int, int]]:
     """The parabolic split w = vu along a proper K, a bitmask, when it is BP
-    relative to J, from values[p] = w(p) for 0 <= p < 2n: the window of v,
-    S(v) as a bitmask, the window of u, l(u) and S(u) as a bitmask.  None
-    when the split is not BP.
+    relative to J (j0 as in _is_bp), from values[p] = w(p) for 0 <= p < 2n:
+    the window of v, S(v) as a bitmask, the window of u, l(u) and S(u) as a
+    bitmask.  None when the split is not BP.
 
     Everything about u is read off the block orders of the cut: u sends
     order[k] to a + k, so node a + j of the block a..a+m is a left descent
@@ -134,18 +127,19 @@ def _bp_cut(
                 top = after
         u_length += _inversions(order)
     v_support = _support_bits(vwin)
-    if not _is_bp(n, v_support, ks, descents, uwin, js):
+    if not _is_bp(n, v_support, ks, descents, uwin, j0):
         return None
     return vwin, v_support, uwin, u_length, u_support
 
 
 def _find_grassmannian_bp(
-    n: int, window: Sequence[int], length: int, support: int, descents: int, js: frozenset[int]
-) -> Optional[tuple[AffinePermutation, int, list[int], int, int, int]]:
+    n: int, window: Sequence[int], length: int, support: int, descents: int,
+    jbits: int, j0: Optional[Sequence[int]],
+) -> Optional[tuple[AffinePermutation, int, int, list[int], int, int, int]]:
     """A Grassmannian BP decomposition w = vu relative to J, from the
-    window of w, l(w), and S(w) and D_R(w) as bitmasks: (v, K, and the
-    window, length, support and right descents of u), with K and the sets
-    as bitmasks, or None.  Only v is built as an element.
+    window of w, l(w), S(w), D_R(w) and J as bitmasks, and j0 as in _is_bp:
+    (v, S(v), K, and the window, length, support and right descents of u),
+    with the sets as bitmasks, or None.  Only v is built as an element.
 
     K = (S(w) ∪ J) \\ {s} for the first candidate s, in increasing order,
     whose split _bp_cut accepts.  The candidates are the nodes of
@@ -170,7 +164,6 @@ def _find_grassmannian_bp(
       by the lemma K \\ J ⊆ D_R(w).  Every node of S(w) \\ J but s is in
       K \\ J: none of them is a candidate.
     """
-    jbits = _bits(js)
     if support != (1 << n) - 1 and descents == support:
         rest = support & ~jbits
         candidates = rest & -rest
@@ -181,85 +174,13 @@ def _find_grassmannian_bp(
         s = candidates & -candidates
         candidates ^= s
         ks = (support | jbits) & ~s
-        cut = _bp_cut(n, values, ks, js)
+        cut = _bp_cut(n, values, ks, j0)
         if cut is not None:
             vwin, v_support, uwin, u_length, u_support = cut
             v = AffinePermutation(n, tuple(vwin))
             v.__dict__.update(support=_nodes(n, v_support), length=length - u_length)  # cached attributes
-            return v, ks, uwin, u_length, u_support, descents & ks
+            return v, v_support, ks, uwin, u_length, u_support, descents & ks
     return None
-
-
-@dataclass(frozen=True)
-class BPDecomposition:
-    """A complete BP decomposition w = v_1 ... v_m relative to J.
-
-    chain holds K_0 ⊇ ... ⊇ K_m with K_0 = S(w) ∪ J, K_m = J, and
-    K_i = S(u_{i+1}) ∪ J; maximal[i] flags whether v_i is the maximal
-    element of its coset quotient, and labels names its Grassmannian.
-    """
-
-    w: AffinePermutation
-    factors: tuple[AffinePermutation, ...]
-    chain: tuple[frozenset[int], ...]
-    maximal: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        assert len(self.chain) == len(self.factors) + 1
-        assert sum(f.length for f in self.factors) == self.w.length
-        for i in range(len(self.factors)):
-            assert len(self.chain[i] - self.chain[i + 1]) == 1
-
-    def all_maximal(self) -> bool:
-        return all(self.maximal)
-
-    @cached_attribute
-    def labels(self) -> tuple[GrassmannianLabel, ...]:
-        """The Grassmannian label of each factor v_i: the node dropped from
-        K_{i-1} to K_i, and the support of v_i.  That node is the only right
-        descent of v_i, so the support is connected: one run of the cycle."""
-        labels = []
-        for i, v in enumerate(self.factors):
-            (missing,) = self.chain[i] - self.chain[i + 1]
-            (nodes,) = cycle_runs(self.w.n, v.support)
-            labels.append(GrassmannianLabel(nodes, missing, nodes.index(missing) + 1, len(nodes) + 1))
-        return tuple(labels)
-
-
-def complete_bp_decomposition(
-    w: AffinePermutation, J: Iterable[int] = ()
-) -> Optional[BPDecomposition]:
-    """Iterate _find_grassmannian_bp until the support is exhausted.
-
-    Returns None when some level admits no Grassmannian BP decomposition.
-    Succeeds for every smooth w.  Each level hands the window, length,
-    support and right descents of its u to the next; the last u is checked
-    to be the identity by its window.
-
-    Every BP split continues the chain K_i = S(u_{i+1}) ∪ J, for every J:
-    S(w) = S(v) ∪ S(u) with S(u) ⊆ K, and the BP test gives
-    S(v) ∩ K ⊆ D_L(u w0(J)) ⊆ S(u) ∪ J, so K = (S(w) ∪ J) \\ {s} lies in
-    S(u) ∪ J, which lies in K.
-    """
-    js = frozenset(J)
-    _require_quotient(w, js)
-    n, jbits = w.n, _bits(js)
-    window, length, support, descents = w.window, w.length, _support_bits(w.window), _bits(w.right_descents)
-    factors: list[AffinePermutation] = []
-    chain: list[frozenset[int]] = [_nodes(n, support | jbits)]
-    flags: list[bool] = []
-    while support & ~jbits:
-        hit = _find_grassmannian_bp(n, window, length, support, descents, js)
-        if hit is None:
-            return None
-        v, ks, window, length, support, descents = hit
-        assert support | jbits == ks, "a BP split continues the chain"
-        K = _nodes(n, ks)
-        factors.append(v)
-        flags.append(_is_maximal_factor(v, K))
-        chain.append(K)
-    assert list(window) == list(range(1, n + 1)), "W^J ∩ W_J is trivial"
-    return BPDecomposition(w=w, factors=tuple(factors), chain=tuple(chain), maximal=tuple(flags))
 
 
 @dataclass(frozen=True)
@@ -275,6 +196,87 @@ class GrassmannianLabel:
     missing: int
     a: int
     m: int
+
+
+@dataclass(frozen=True)
+class BPDecomposition:
+    """A complete BP decomposition w = v_1 ... v_m relative to J.
+
+    chain holds K_0 ⊇ ... ⊇ K_m with K_0 = S(w) ∪ J, K_m = J, and
+    K_i = S(u_{i+1}) ∪ J.  complete_bp_decomposition fills labels and
+    maximal level by level.  labels[i] names the Grassmannian of v = v_i
+    from s, the node of K_{i-1} \\ K_i, and S(v): s is the only right
+    descent of v, so S(v) is one run (0..n-1 when full), a is the place of
+    s in it, counted from 1, and m is one more than its size.  maximal[i]
+    says whether v is the maximal element of W_{S(v)} modulo W_{K_i ∩ S(v)},
+    the only one of length l(w0(S(v))) - l(w0(K_i ∩ S(v))): whether S(v) is
+    proper and l(v) = a(m - a).  For S(v) ⊆ K_{i-1} gives K_i ∩ S(v) =
+    S(v) \\ {s}, runs of a - 1 and m - a - 1 nodes, and
+    m(m - 1)/2 - (a - 1)a/2 - (m - a)(m - a - 1)/2 = a(m - a).
+    """
+
+    w: AffinePermutation
+    factors: tuple[AffinePermutation, ...]
+    chain: tuple[frozenset[int], ...]
+    maximal: tuple[bool, ...]
+    labels: tuple[GrassmannianLabel, ...]
+
+    def __post_init__(self) -> None:
+        assert len(self.chain) == len(self.factors) + 1
+        assert len(self.maximal) == len(self.labels) == len(self.factors)
+        assert sum(f.length for f in self.factors) == self.w.length
+        for i in range(len(self.factors)):
+            assert len(self.chain[i] - self.chain[i + 1]) == 1
+
+    def all_maximal(self) -> bool:
+        return all(self.maximal)
+
+
+def complete_bp_decomposition(
+    w: AffinePermutation, J: Iterable[int] = ()
+) -> Optional[BPDecomposition]:
+    """Iterate _find_grassmannian_bp until the support is exhausted.
+
+    Returns None when some level admits no Grassmannian BP decomposition.
+    Succeeds for every smooth w.  J is read once: its bitmask and the
+    window of w0(J) serve every level.  Each level hands the window, length,
+    support and right descents of its u to the next, and records the label
+    and maximality of its v (BPDecomposition); the last u is checked to be
+    the identity by its window.
+
+    Every BP split continues the chain K_i = S(u_{i+1}) ∪ J, for every J:
+    S(w) = S(v) ∪ S(u) with S(u) ⊆ K, and the BP test gives
+    S(v) ∩ K ⊆ D_L(u w0(J)) ⊆ S(u) ∪ J, so K = (S(w) ∪ J) \\ {s} lies in
+    S(u) ∪ J, which lies in K.
+    """
+    js = frozenset(J)
+    _require_quotient(w, js)
+    n, jbits, full = w.n, _bits(js), (1 << w.n) - 1
+    # J = S leaves only w = e, which has no level
+    j0 = _longest_window(n, js) if 0 < len(js) < n else None
+    window, length, support, descents = w.window, w.length, _support_bits(w.window), _bits(w.right_descents)
+    ks = support | jbits
+    factors: list[AffinePermutation] = []
+    chain: list[frozenset[int]] = [_nodes(n, ks)]
+    flags: list[bool] = []
+    labels: list[GrassmannianLabel] = []
+    while support & ~jbits:
+        hit = _find_grassmannian_bp(n, window, length, support, descents, jbits, j0)
+        if hit is None:
+            return None
+        v, v_support, next_ks, window, length, support, descents = hit
+        assert support | jbits == next_ks, "a BP split continues the chain"
+        s = (ks & ~next_ks).bit_length() - 1
+        ks = next_ks
+        proper = v_support != full
+        (nodes,) = _runs(n, v_support) if proper else (tuple(range(n)),)
+        a, m = nodes.index(s) + 1, len(nodes) + 1
+        factors.append(v)
+        chain.append(_nodes(n, ks))
+        labels.append(GrassmannianLabel(nodes, s, a, m))
+        flags.append(proper and v.length == a * (m - a))
+    assert list(window) == list(range(1, n + 1)), "W^J ∩ W_J is trivial"
+    return BPDecomposition(w, tuple(factors), tuple(chain), tuple(flags), tuple(labels))
 
 
 def fibre_tower(w: AffinePermutation) -> tuple[GrassmannianLabel, ...]:

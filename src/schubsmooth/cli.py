@@ -148,9 +148,6 @@ def _cmd_smooth(args: argparse.Namespace) -> int:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     w = _element(args)
     js = frozenset(_parse_ints(args.J)) if args.J is not None else frozenset()
-    bad = [j for j in js if not 0 <= j < w.n]
-    if bad:
-        raise ValueError(f"--J nodes {bad} outside 0..{w.n - 1}")
     decomposition = complete_bp_decomposition(w, js)
     smooth = is_smooth_partial(w, js)  # for J empty this is is_smooth(w)
     factors = None

@@ -41,6 +41,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from .affine import (
     AffinePermutation,
+    _bits,
     _compose,
     cached_attribute,
     cycle_runs,
@@ -114,10 +115,7 @@ class CoxGraph:
         return self.n + 1 if self.kind == "path" else self.n
 
     def is_connected(self, subset: Iterable[int]) -> bool:
-        mask = 0
-        for v in subset:
-            mask |= 1 << v
-        starts = run_starts(self._cycle, mask)
+        starts = run_starts(self._cycle, _bits(subset))
         return not starts & (starts - 1)
 
     def run_order(self, subset: Iterable[int]) -> tuple[int, ...]:

@@ -647,10 +647,11 @@ def bp_split(w: AffinePermutation, K, J=()) -> Optional[tuple[AffinePermutation,
     """coset_decompose(w, K) when the split is BP relative to J, else None:
     the package's window test bp._bp_cut on an element.  A full K gives
     v = e, which is always BP."""
-    n, ks = w.n, frozenset(K)
+    n, ks, js = w.n, frozenset(K), frozenset(J)
     if len(ks) < n:
         values = [w.apply(p) for p in range(2 * n)]
-        if _bp_cut(n, values, sum(1 << k for k in ks), frozenset(J)) is None:
+        j0 = longest_element(n, js).window if js else None
+        if _bp_cut(n, values, sum(1 << k for k in ks), j0) is None:
             return None
     return coset_decompose(w, ks)
 

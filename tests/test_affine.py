@@ -35,7 +35,6 @@ from schubsmooth.affine import (
     from_word,
     identity,
     longest_element,
-    longest_length,
     poincare_polynomial,
 )
 from schubsmooth.errors import BudgetExceeded
@@ -249,7 +248,7 @@ def test_longest_element_shape():
     for n, subset in [(4, {1}), (4, {1, 2}), (4, {0, 2}), (5, {0, 1, 3}), (5, {4, 0, 1})]:
         w0 = longest_element(n, subset)
         assert w0.right_descents == frozenset(subset)
-        assert w0.length == longest_length(n, subset)
+        assert w0.length == sum(len(r) * (len(r) + 1) // 2 for r in cycle_runs(n, subset))
         assert w0 * w0 == identity(n)
         assert w0.support == frozenset(subset)
 
@@ -263,10 +262,10 @@ def test_longest_element_matches_word_oracle():
 
 def test_longest_length_adds_over_runs():
     # {4, 0, 1} is one cyclic run of three nodes: a copy of S_4
-    assert longest_length(5, {4, 0, 1}) == 6
-    assert longest_length(5, {0, 2}) == 2
-    with pytest.raises(ValueError):
-        longest_length(3, {0, 1, 2})
+    assert longest_element(5, {4, 0, 1}).length == 6
+    assert longest_element(5, {0, 2}).length == 2
+    with pytest.raises(ValueError, match="proper"):
+        longest_element(3, {0, 1, 2})
     with pytest.raises(ValueError):
         longest_element(3, {0, 3})
 

@@ -20,11 +20,13 @@ from oracles import (
 )
 from schubsmooth.affine import (
     AffinePermutation,
+    bruhat_lower_interval,
     coset_decompose,
     from_window,
     from_word,
     identity,
     longest_element,
+    poincare_polynomial,
 )
 from schubsmooth.bp import (
     BPDecomposition,
@@ -81,13 +83,15 @@ def test_find_grassmannian_bp_shape():
     cases += [(from_window(3, window), J, K) for window, J, K in full]
     assert complete_bp_decomposition(from_window(3, (4, 8, -6)), {0}) is None
     for w, J, want in cases:
-        hit = _find_grassmannian_bp(w.n, w.window, w.length, bits(w.support), bits(w.right_descents), frozenset(J))
+        j0 = longest_element(w.n, J).window if J else None
+        hit = _find_grassmannian_bp(w.n, w.window, w.length, bits(w.support), bits(w.right_descents), bits(J), j0)
         assert hit is not None
-        v, ks, uwin, u_length, u_support, u_descents = hit
+        v, v_support, ks, uwin, u_length, u_support, u_descents = hit
         u = from_window(w.n, uwin)
         K = frozenset(i for i in range(w.n) if ks >> i & 1)
         assert v * u == w
         assert v.length + u.length == w.length
+        assert v_support == bits(v.support)
         assert (u_length, u_support, u_descents) == (u.length, bits(u.support), bits(u.right_descents))
         assert len((w.support | set(J)) - K) == 1
         assert not (v.right_descents & K)
@@ -298,4 +302,17 @@ def test_bp_decomposition_container_checks():
             factors=(identity(3),),
             chain=(frozenset({1, 2}), frozenset()),
             maximal=(True,),
+            labels=d.labels,
         )
+    with pytest.raises(AssertionError):
+        BPDecomposition(w=w, factors=d.factors, chain=d.chain, maximal=d.maximal, labels=d.labels[1:])
+
+
+def test_j_nodes_outside_the_cycle_are_rejected():
+    # every entry point that takes a J rejects nodes outside 0..n-1 with
+    # one ValueError, before any bitmask or window is formed from them
+    w = from_window(3, (4, -1, 3))
+    for J in ([7], [-1], [3], [0, 5]):
+        for call in (complete_bp_decomposition, is_smooth_partial, poincare_polynomial, bruhat_lower_interval):
+            with pytest.raises(ValueError, match="outside 0..2"):
+                call(w, J)

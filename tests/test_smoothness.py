@@ -36,7 +36,6 @@ from schubsmooth.affine import (
     from_word,
     identity,
     longest_element,
-    longest_length,
     poincare_polynomial,
 )
 from schubsmooth.smoothness import (
@@ -248,7 +247,7 @@ def test_spiral_spec_validation():
 
 def test_twisted_spirals_recognized_never_smooth():
     for n in (2, 3, 4):
-        others_len = {i: longest_length(n, frozenset(range(n)) - {i}) for i in range(n)}
+        others_len = {i: longest_element(n, frozenset(range(n)) - {i}).length for i in range(n)}
         for k in (2, 3):
             for i in range(n):
                 for d in ("x", "y"):
