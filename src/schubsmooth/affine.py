@@ -121,8 +121,7 @@ class AffinePermutation:
     def times_s(self, i: int) -> "AffinePermutation":
         """Right multiplication by the simple reflection s_i."""
         n = self.n
-        if not 0 <= i < n:
-            raise ValueError(f"reflection index must be in 0..{n - 1}, got {i}")
+        _require_letter(n, i)
         w = list(self.window)
         _swap(w, i)
         return AffinePermutation(n, tuple(w))
@@ -130,9 +129,8 @@ class AffinePermutation:
     def s_times(self, i: int) -> "AffinePermutation":
         """Left multiplication by s_i: swap the values i, i+1 mod n."""
         n = self.n
-        if not 0 <= i < n:
-            raise ValueError(f"reflection index must be in 0..{n - 1}, got {i}")
-        lo, hi = i % n, (i + 1) % n
+        _require_letter(n, i)
+        lo, hi = i, (i + 1) % n
         w = []
         for v in self.window:
             r = v % n
@@ -208,6 +206,12 @@ def identity(n: int) -> AffinePermutation:
     return AffinePermutation(n, tuple(range(1, n + 1)))
 
 
+def _require_letter(n: int, i: int) -> None:
+    """Reject an i that names none of the simple reflections s_0..s_{n-1}."""
+    if not 0 <= i < n:
+        raise ValueError(f"reflection index must be in 0..{n - 1}, got {i}")
+
+
 def _rises(window: Sequence[int], i: int) -> bool:
     """Whether i is not a right descent: w(i) < w(i+1), with w(0) = w(n) - n."""
     return window[i - 1] - (0 if i else len(window)) < window[i]
@@ -235,11 +239,17 @@ def _nodes(n: int, bits: int) -> frozenset[int]:
     return frozenset(i for i in range(n) if bits >> i & 1)
 
 
-def _bits(nodes: Iterable[int]) -> int:
-    """The bitmask of a set of nodes, the inverse of _nodes."""
-    mask = 0
+def _mask(n: int, nodes: Iterable[int], name: str) -> int:
+    """The bitmask of a set of nodes, the inverse of _nodes: the one check of
+    every node set given to the package, whose ValueError names the set."""
+    mask, bad = 0, []
     for v in nodes:
-        mask |= 1 << v
+        if 0 <= v < n:
+            mask |= 1 << v
+        else:
+            bad.append(v)
+    if bad:
+        raise ValueError(f"{name} nodes {sorted(set(bad))} outside 0..{n - 1}")
     return mask
 
 
@@ -281,8 +291,7 @@ def from_word(n: int, word: Iterable[int]) -> AffinePermutation:
     """
     win = list(identity(n).window)
     for i in word:
-        if not 0 <= i < n:
-            raise ValueError(f"reflection index must be in 0..{n - 1}, got {i}")
+        _require_letter(n, i)
         _swap(win, i)
     return AffinePermutation(n, tuple(win))
 
@@ -327,15 +336,19 @@ def cycle_runs(n: int, subset: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     ((3,), (5, 0, 1))
     >>> cycle_runs(3, {0, 1, 2})
     ((0, 1, 2),)
+    >>> cycle_runs(3, {0, 1, 2, 5})
+    Traceback (most recent call last):
+    ...
+    ValueError: subset nodes [5] outside 0..2
     """
-    vs = subset if isinstance(subset, (set, frozenset)) else set(subset)
-    if len(vs) == n:
-        return (tuple(range(n)),)
-    return _runs(n, _bits(vs))
+    return _runs(n, _mask(n, subset, "subset"))
 
 
 def _runs(n: int, mask: int) -> tuple[tuple[int, ...], ...]:
-    """cycle_runs of a proper subset given as a bitmask over 0..n-1."""
+    """cycle_runs of a subset given as a bitmask over 0..n-1: each run walks
+    on from a bit of run_starts, except the full cycle, which has none."""
+    if mask == (1 << n) - 1:
+        return (tuple(range(n)),)
     runs = []
     starts = run_starts(n, mask)
     while starts:
@@ -359,18 +372,17 @@ def longest_element(n: int, subset: Iterable[int]) -> AffinePermutation:
     >>> longest_element(3, {1, 2}).reduced_word
     (1, 2, 1)
     """
-    sub = frozenset(subset)
-    if any(not 0 <= v < n for v in sub):
-        raise ValueError(f"subset members must be node indices in 0..{n - 1}")
-    if len(sub) >= n:
+    mask = _mask(n, subset, "subset")
+    if mask == (1 << n) - 1:
         raise ValueError("subset must be proper: the full cycle generates an infinite group")
-    return AffinePermutation(n, tuple(_longest_window(n, sub)))
+    return AffinePermutation(n, tuple(_longest_window(n, mask)))
 
 
-def _longest_window(n: int, sub: frozenset[int]) -> list[int]:
-    """The window of the longest element of W_sub, sub a proper subset."""
+def _longest_window(n: int, mask: int) -> list[int]:
+    """The window of the longest element of W_K, K a proper subset of the
+    nodes given as a bitmask: it reverses the block of each run of K."""
     win = list(range(1, n + 1))
-    for comp in cycle_runs(n, sub):
+    for comp in _runs(n, mask):
         # nodes v..v+m-1 generate the permutations of positions v..v+m, and
         # the longest one reverses them: w(v + k) = v + m - k, periodically
         v, m = comp[0], len(comp)
@@ -395,27 +407,25 @@ def coset_decompose(w: AffinePermutation, K: Iterable[int]) -> tuple[AffinePermu
     ((2,), (1,))
     """
     n = w.n
-    ks = frozenset(K)
-    if any(not 0 <= k < n for k in ks):
-        raise ValueError(f"K members must be node indices in 0..{n - 1}")
-    if len(ks) == n:
+    ks = _mask(n, K, "K")
+    if ks == (1 << n) - 1:
         return identity(n), w
     values = [w.apply(p) for p in range(2 * n)]
-    vwin, uwin, _ = _coset_cut(n, values, cycle_runs(n, ks))
+    vwin, uwin, _ = _coset_cut(n, values, ks)
     return AffinePermutation(n, tuple(vwin)), AffinePermutation(n, tuple(uwin))
 
 
 def _coset_cut(
-    n: int, values: Sequence[int], runs: Iterable[tuple[int, ...]]
+    n: int, values: Sequence[int], ks: int
 ) -> tuple[list[int], list[int], list[tuple[int, list[int]]]]:
     """coset_decompose on windows, from values[p] = w(p) for 0 <= p < 2n and
-    the runs of a proper K as cycle_runs lists them; the block a..a+m of a
-    run a..a+m-1 lies in 0..2n-2.  Returns the windows of v and u and, for
+    a proper K as a bitmask; the block a..a+m of each run a..a+m-1 that
+    _runs lists lies in 0..2n-2.  Returns the windows of v and u and, for
     each run, the pair (a, order): order lists the block positions by
     increasing value of w, so v(a + j) = w(order[j]) and u sends order[j]
     to a + j, both read back into the window periodically."""
     vwin, uwin, orders = list(values[1 : n + 1]), list(range(1, n + 1)), []
-    for run in runs:
+    for run in _runs(n, ks):
         a = run[0]
         positions = range(a, a + len(run) + 1)
         order = sorted(positions, key=values.__getitem__)
@@ -448,8 +458,7 @@ def bruhat_lower_interval(w: AffinePermutation, J: Iterable[int] = ()) -> dict[t
     >>> sorted(bruhat_lower_interval(w, {1}).values())
     [0, 1, 2]
     """
-    js = frozenset(J)
-    _require_nodes(w.n, js)
+    js = _nodes(w.n, _mask(w.n, J, "J"))
     if w.length > INTERVAL_CAP:
         raise BudgetExceeded(f"interval of an element of length {w.length} exceeds cap {INTERVAL_CAP}")
     lengths = {tuple(range(1, w.n + 1)): 0}
@@ -466,19 +475,13 @@ def bruhat_lower_interval(w: AffinePermutation, J: Iterable[int] = ()) -> dict[t
     return {x: length for x, length in lengths.items() if all(_rises(x, j) for j in js)}
 
 
-def _require_nodes(n: int, js: frozenset[int]) -> None:
-    """Reject a J holding anything but node indices 0..n-1."""
-    bad = sorted(j for j in js if not 0 <= j < n)
+def _require_quotient(w: AffinePermutation, J: Iterable[int]) -> int:
+    """The bitmask of J (_mask), rejecting a J that holds a right descent of w."""
+    jbits = _mask(w.n, J, "J")
+    bad = sorted(i for i in w.right_descents if jbits >> i & 1)
     if bad:
-        raise ValueError(f"J nodes {bad} outside 0..{n - 1}")
-
-
-def _require_quotient(w: AffinePermutation, js: frozenset[int]) -> None:
-    """Reject a J outside the nodes or holding a right descent of w."""
-    _require_nodes(w.n, js)
-    bad = w.right_descents & js
-    if bad:
-        raise ValueError(f"w has right descents {sorted(bad)} in J: not in W^J")
+        raise ValueError(f"w has right descents {bad} in J: not in W^J")
+    return jbits
 
 
 def poincare_polynomial(w: AffinePermutation, J: Iterable[int] = ()) -> Polynomial:
@@ -487,6 +490,5 @@ def poincare_polynomial(w: AffinePermutation, J: Iterable[int] = ()) -> Polynomi
     >>> str(poincare_polynomial(longest_element(4, {1, 2})))
     '1 + 2*q + 2*q^2 + q^3'
     """
-    js = frozenset(J)
-    _require_quotient(w, js)
+    js = _nodes(w.n, _require_quotient(w, J))
     return Polynomial.from_length_counts(Counter(bruhat_lower_interval(w, js).values()))

@@ -57,11 +57,11 @@ from typing import Iterable, Optional, Sequence
 
 from .affine import (
     AffinePermutation,
-    _bits,
     _compose,
     _coset_cut,
     _inverse_window,
     _longest_window,
+    _mask,
     _nodes,
     _require_quotient,
     _rises,
@@ -113,7 +113,7 @@ def _bp_cut(
     of u when order[j] > order[j + 1], and lies in S(u) when
     max(order[0..j]) > a + j, as u⁻¹ maps a..a+j into itself otherwise
     (affine module docstring); l(u) is the number of pairs out of order."""
-    vwin, uwin, orders = _coset_cut(n, values, _runs(n, ks))
+    vwin, uwin, orders = _coset_cut(n, values, ks)
     descents = u_support = u_length = 0
     for a, order in orders:
         top = order[0]
@@ -249,12 +249,11 @@ def complete_bp_decomposition(
     S(v) ∩ K ⊆ D_L(u w0(J)) ⊆ S(u) ∪ J, so K = (S(w) ∪ J) \\ {s} lies in
     S(u) ∪ J, which lies in K.
     """
-    js = frozenset(J)
-    _require_quotient(w, js)
-    n, jbits, full = w.n, _bits(js), (1 << w.n) - 1
+    n, jbits, full = w.n, _require_quotient(w, J), (1 << w.n) - 1
     # J = S leaves only w = e, which has no level
-    j0 = _longest_window(n, js) if 0 < len(js) < n else None
-    window, length, support, descents = w.window, w.length, _support_bits(w.window), _bits(w.right_descents)
+    j0 = _longest_window(n, jbits) if 0 < jbits < full else None
+    window, length, support = w.window, w.length, _support_bits(w.window)
+    descents = _mask(n, w.right_descents, "D_R(w)")
     ks = support | jbits
     factors: list[AffinePermutation] = []
     chain: list[frozenset[int]] = [_nodes(n, ks)]
@@ -268,13 +267,12 @@ def complete_bp_decomposition(
         assert support | jbits == next_ks, "a BP split continues the chain"
         s = (ks & ~next_ks).bit_length() - 1
         ks = next_ks
-        proper = v_support != full
-        (nodes,) = _runs(n, v_support) if proper else (tuple(range(n)),)
+        (nodes,) = _runs(n, v_support)
         a, m = nodes.index(s) + 1, len(nodes) + 1
         factors.append(v)
         chain.append(_nodes(n, ks))
         labels.append(GrassmannianLabel(nodes, s, a, m))
-        flags.append(proper and v.length == a * (m - a))
+        flags.append(v_support != full and v.length == a * (m - a))
     assert list(window) == list(range(1, n + 1)), "W^J ∩ W_J is trivial"
     return BPDecomposition(w, tuple(factors), tuple(chain), tuple(flags), tuple(labels))
 
@@ -302,7 +300,6 @@ def is_smooth_partial(w: AffinePermutation, J: Iterable[int]) -> bool:
     the parabolic on J ∩ S(w): the full Schubert variety fibres over the
     partial one with smooth fibre.
     """
-    js = frozenset(J)
-    _require_quotient(w, js)
+    js = _nodes(w.n, _require_quotient(w, J))
     u0 = longest_element(w.n, js & w.support)
     return is_smooth(w * u0)

@@ -57,9 +57,8 @@ from . import selftest as selftest_module
 ENUM_CAP_DEFAULT = 6
 ENUM_CAP_MAX = 8
 SERIES_ORDER_MAX = 1000
-# Largest period of an element read by smooth and decompose, a bound on time: on
-# the smooth window (3 - 2n, n + 2, ..., 4), decompose takes 0.09 to 0.16 s at
-# 100 and 0.5 to 0.8 s at 200, in process.
+# Largest period of an element read by smooth and decompose, a bound on time;
+# README.md gives the measured times at this bound.
 ELEMENT_N_MAX = 200
 
 

@@ -73,6 +73,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .affine import AffinePermutation, from_word, identity, longest_element
+from .errors import BudgetExceeded
 
 
 def is_smooth(w: AffinePermutation) -> bool:
@@ -191,15 +192,17 @@ PERIOD_MAX = 7  # n = 7 checks 109,325 candidates, n = 8 604,157 in about four t
 @lru_cache(maxsize=8)
 def enumerate_smooth(n: int) -> frozenset[AffinePermutation]:
     """The smooth elements of the affine symmetric group of period n, n at
-    most PERIOD_MAX.  Each smooth p of period n - 1 and each c with
-    |c - n| <= 2(n-1) give one window (phi0(p(1) + t), ...,
+    most PERIOD_MAX (BudgetExceeded above).  Each smooth p of period n - 1
+    and each c with |c - n| <= 2(n-1) give one window (phi0(p(1) + t), ...,
     phi0(p(n-1) + t), c), kept when is_smooth holds (module docstring).
 
     >>> len(enumerate_smooth(3))
     31
     """
-    if not 2 <= n <= PERIOD_MAX:
+    if n < 2:
         raise ValueError(f"period must be in 2..{PERIOD_MAX}, got {n}")
+    if n > PERIOD_MAX:
+        raise BudgetExceeded(f"smooth enumeration capped at n = {PERIOD_MAX}, got {n}")
     below = [p.window for p in enumerate_smooth(n - 1)] if n > 2 else [(1,)]
     m, bound = n - 1, 2 * (n - 1)
     found = set()

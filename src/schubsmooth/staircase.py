@@ -41,7 +41,6 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from .affine import (
     AffinePermutation,
-    _bits,
     _compose,
     cached_attribute,
     cycle_runs,
@@ -106,33 +105,29 @@ class CoxGraph:
             return [(0, 1)]
         return [(i, (i + 1) % self.n) for i in range(self.n)]
 
-    def _runs(self, subset: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-        return cycle_runs(self._cycle, subset)
-
     @property
     def _cycle(self) -> int:
         # a path on 1..n is the (n+1)-cycle with vertex 0 absent
         return self.n + 1 if self.kind == "path" else self.n
 
     def is_connected(self, subset: Iterable[int]) -> bool:
-        starts = run_starts(self._cycle, _bits(subset))
-        return not starts & (starts - 1)
+        return len(cycle_runs(self._cycle, subset)) <= 1
 
     def run_order(self, subset: Iterable[int]) -> tuple[int, ...]:
         """A connected subset listed in consecutive order (cyclic runs start
         at the vertex whose predecessor is outside).  Falls back to sorted
         order for disconnected sets."""
         vs = set(subset)
-        runs = self._runs(vs)
+        runs = cycle_runs(self._cycle, vs)
         return runs[0] if len(runs) == 1 else tuple(sorted(vs))
 
     def runs(self, subset: Iterable[int]) -> tuple[tuple[int, ...], ...]:
         """Maximal connected runs of a vertex subset, each in consecutive
         order; a full cycle is rejected (it has no run decomposition)."""
-        vs = set(subset)
-        if self.kind == "cycle" and len(vs) == self.n:
+        runs = cycle_runs(self._cycle, subset)
+        if self.kind == "cycle" and runs == (self.vertices,):
             raise ValueError("full cycle support has no run decomposition")
-        return self._runs(vs)
+        return runs
 
 
 def path_graph(n: int) -> CoxGraph:

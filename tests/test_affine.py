@@ -6,8 +6,10 @@ set of subword products.  The remaining tests pin down descents, reduced
 words, parabolic data, and Poincare polynomials.
 """
 
+import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -37,8 +39,10 @@ from schubsmooth.affine import (
     longest_element,
     poincare_polynomial,
 )
+from schubsmooth.bp import complete_bp_decomposition, is_smooth_partial
 from schubsmooth.errors import BudgetExceeded
 from schubsmooth.poly import Polynomial
+from schubsmooth.staircase import cycle_graph
 
 
 def random_elements(n, count, max_letters, seed):
@@ -281,7 +285,7 @@ def test_coset_decompose():
             assert u.support <= K
             assert coset_decompose(v, K) == (v, identity(3))
     for K in ({3}, {-1}, {0, 5}):
-        with pytest.raises(ValueError, match="node indices in 0..2"):
+        with pytest.raises(ValueError, match="outside 0..2"):
             coset_decompose(from_word(3, [0, 1]), K)
 
 
@@ -419,6 +423,29 @@ def test_cycle_runs_match_adjacency_oracle():
                     for run in runs:
                         assert (run[0] - 1) % size not in sub
                         assert all((b - a) % size == 1 for a, b in zip(run, run[1:]))
+
+
+def test_node_sets_outside_the_cycle_are_rejected():
+    # every node set given to the package passes one checked conversion,
+    # whose ValueError names the members outside 0..n-1; {5} comes first,
+    # and {0, 1, 2, 5} holds a bit above the cycle that an unchecked run
+    # walk would follow forever
+    g, w = cycle_graph(3), from_window(3, (4, -1, 3))
+    calls = [
+        lambda nodes: cycle_runs(3, nodes),
+        lambda nodes: longest_element(3, nodes),
+        lambda nodes: coset_decompose(w, nodes),
+        g.is_connected,
+        g.run_order,
+        g.runs,
+        *(functools.partial(f, w) for f in (
+            complete_bp_decomposition, is_smooth_partial, poincare_polynomial, bruhat_lower_interval
+        )),
+    ]
+    for nodes, bad in (({5}, [5]), ({-1}, [-1]), ({1, 3}, [3]), ({0, 1, 2, 5}, [5]), ([0, 7, -2, 7], [-2, 7])):
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"nodes {bad} outside 0..2")):
+                call(nodes)
 
 
 def test_ball_levels_match_ball_oracle():

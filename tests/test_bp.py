@@ -20,6 +20,7 @@ from oracles import (
 )
 from schubsmooth.affine import (
     AffinePermutation,
+    _compose,
     bruhat_lower_interval,
     coset_decompose,
     from_window,
@@ -161,6 +162,21 @@ def test_decomposition_builds_one_element_per_level(monkeypatch):
         assert {"support", "length"} <= vars(x).keys(), x.window
         for name in ("support", "length"):
             assert vars(x)[name] == getattr(fresh, name), (x.window, name)
+
+
+def test_j_empty_composes_no_window(monkeypatch):
+    # relative to J empty, u w0(J) = u, so the BP test reads D_L(u) alone:
+    # no window of u w0(J) is composed on any level
+    composed = []
+
+    def counting_compose(*args):
+        composed.append(args)
+        return _compose(*args)
+
+    monkeypatch.setattr("schubsmooth.bp._compose", counting_compose)
+    for w in ball(4, 7):
+        complete_bp_decomposition(w)
+    assert composed == []
 
 
 def test_complete_decomposition_of_smooth_elements():

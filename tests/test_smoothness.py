@@ -38,6 +38,7 @@ from schubsmooth.affine import (
     longest_element,
     poincare_polynomial,
 )
+from schubsmooth.errors import BudgetExceeded
 from schubsmooth.smoothness import (
     SpiralSpec,
     enumerate_smooth,
@@ -150,7 +151,7 @@ def test_enumerate_smooth_small_periods():
 def test_enumerate_smooth_budgets():
     with pytest.raises(ValueError):
         enumerate_smooth(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceeded, match="capped at n = 7, got 8"):
         enumerate_smooth(8)
 
 
