@@ -84,15 +84,15 @@ def criterion_2(scale: str = "full") -> tuple[bool, str]:
 
 
 def criterion_3(scale: str = "full") -> tuple[bool, str]:
-    """Spherical diagram counts on the cycle match a_n for n = 2..7."""
-    top = _cap(scale, 7)
+    """Spherical diagram counts on the cycle match a_n for n = 2..8."""
+    top = _cap(scale, 8)
     a = series_A_closed(top)
     counts = {}
     for n in range(2, top + 1):
         counts[n] = len(enumerate_diagrams(cycle_graph(n), spherical_only=True))
     ok = all(counts[n] == a[n] for n in counts)
     if scale == "full":
-        ok = ok and counts[7] == 20833
+        ok = ok and counts[8] == 97333
     return ok, f"counts {counts}"
 
 

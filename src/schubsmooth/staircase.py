@@ -29,6 +29,14 @@ fully_supported_cycle_diagrams, from which enumerate_diagrams assembles
 every diagram, and to_element maps spherical diagrams to Weyl group
 elements by multiplying maximal parabolic coset representatives block by
 block.
+
+Blocks are shared: bounded caches map a block to one shared frozenset,
+its sort key and its vertex bitmask (bit v for vertex v), and a bitmask
+back to that frozenset, so an enumeration holds one frozenset per vertex
+set and the constructor sorts no block.  Gluing shifts each piece's block
+masks past the slots before it and rotates a cycle's slots onto their
+vertices; path diagrams go onto the runs of a support by the same
+rotation.  validate and to_element read the masks too.
 """
 
 from __future__ import annotations
@@ -37,14 +45,16 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .affine import (
     AffinePermutation,
     _compose,
+    _longest_window,
+    _nodes,
     cached_attribute,
     cycle_runs,
-    longest_element,
+    from_window,
     run_starts,
 )
 from .errors import BudgetExceeded, MalformedDiagram
@@ -55,7 +65,7 @@ DECREASING = "decreasing"
 # Largest n that enumeration accepts, by graph kind: counts grow like 4.4^n.
 # Nine is the largest path any package caller needs (criterion 6 breaks
 # staircases on nine vertices); fully_supported_path_diagrams(9) already
-# takes about 190 MB.
+# takes about 80 MB (peak RSS of a fresh Python 3.11 process).
 ENUM_MAX = {"path": 9, "cycle": 8}
 # Largest n a diagram file may give: the constructor and validate build
 # one entry per vertex, so a huge n would exhaust memory before any check.
@@ -99,43 +109,88 @@ class CoxGraph:
         return tuple(range(self.n))
 
     def edges(self) -> list[tuple[int, int]]:
+        return list(self._edges)
+
+    @cached_attribute
+    def _edges(self) -> tuple[tuple[int, int], ...]:
         if self.kind == "path":
-            return [(i, i + 1) for i in range(1, self.n)]
+            return tuple((i, i + 1) for i in range(1, self.n))
         if self.n == 2:
-            return [(0, 1)]
-        return [(i, (i + 1) % self.n) for i in range(self.n)]
+            return ((0, 1),)
+        return tuple((i, (i + 1) % self.n) for i in range(self.n))
 
     @property
     def _cycle(self) -> int:
         # a path on 1..n is the (n+1)-cycle with vertex 0 absent
         return self.n + 1 if self.kind == "path" else self.n
 
+    def _runs(self, subset: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+        """cycle_runs on the graph's cycle, after checking the members: a
+        path refuses the vertex 0 of its cycle too."""
+        if self.kind == "cycle":
+            return cycle_runs(self.n, subset)
+        vs = set(subset)
+        bad = sorted(v for v in vs if not 1 <= v <= self.n)
+        if bad:
+            raise ValueError(f"subset nodes {bad} outside 1..{self.n}")
+        return cycle_runs(self.n + 1, vs)
+
     def is_connected(self, subset: Iterable[int]) -> bool:
-        return len(cycle_runs(self._cycle, subset)) <= 1
+        return len(self._runs(subset)) <= 1
 
     def run_order(self, subset: Iterable[int]) -> tuple[int, ...]:
         """A connected subset listed in consecutive order (cyclic runs start
         at the vertex whose predecessor is outside).  Falls back to sorted
         order for disconnected sets."""
         vs = set(subset)
-        runs = cycle_runs(self._cycle, vs)
+        runs = self._runs(vs)
         return runs[0] if len(runs) == 1 else tuple(sorted(vs))
 
     def runs(self, subset: Iterable[int]) -> tuple[tuple[int, ...], ...]:
         """Maximal connected runs of a vertex subset, each in consecutive
         order; a full cycle is rejected (it has no run decomposition)."""
-        runs = cycle_runs(self._cycle, subset)
+        runs = self._runs(subset)
         if self.kind == "cycle" and runs == (self.vertices,):
             raise ValueError("full cycle support has no run decomposition")
         return runs
 
 
+@lru_cache(maxsize=64)  # one shared graph per n, which caches its edges
 def path_graph(n: int) -> CoxGraph:
     return CoxGraph("path", n)
 
 
+@lru_cache(maxsize=64)
 def cycle_graph(n: int) -> CoxGraph:
     return CoxGraph("cycle", n)
+
+
+# ----------------------------------------------------------------------
+# Shared blocks
+
+
+@lru_cache(maxsize=4096)
+def _shared(mask: int) -> frozenset[int]:
+    """The one frozenset kept for the vertex set of a bitmask."""
+    return _nodes(mask.bit_length(), mask)
+
+
+@lru_cache(maxsize=4096)
+def _block(b: frozenset[int]) -> tuple[frozenset[int], tuple[int, ...], int]:
+    """A block of graph vertices as (its shared frozenset, its sort key, its
+    vertex bitmask); every block a diagram holds is a shared frozenset.
+    Callers check first that b holds graph vertices only."""
+    mask = 0
+    for v in b:
+        mask |= 1 << int(v)  # a member equal to a vertex, such as 1.0, counts as it
+    shared = _shared(mask)
+    return shared, tuple(sorted(shared)), mask
+
+
+def _rotate(mask: int, n: int, r: int) -> int:
+    """Move bit v of a mask over 1..n to bit (v - r) mod n, for 1 <= r <= n + 1:
+    of v - r and v + n - r exactly one lies in 0..n-1."""
+    return (mask << n | mask) >> r & ((1 << n) - 1)
 
 
 # ----------------------------------------------------------------------
@@ -146,9 +201,10 @@ def cycle_graph(n: int) -> CoxGraph:
 class StaircaseDiagram:
     """Blocks with a partial order given by covers.
 
-    The constructor canonicalizes: blocks are sorted, the supplied relation
-    pairs (indices into the block list as given) are closed transitively
-    and reduced back to covers.  Structural defects (empty or duplicate
+    The constructor canonicalizes: blocks become their shared frozensets
+    and are sorted by their cached keys, the supplied relation pairs
+    (indices into the block list as given) are closed transitively and
+    reduced back to covers.  Structural defects (empty or duplicate
     blocks, relation cycles, bad indices) raise MalformedDiagram; axiom
     violations are reported by validate() instead.
 
@@ -173,18 +229,18 @@ class StaircaseDiagram:
     covers: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        raw = [frozenset(b) for b in self.blocks]
         verts = set(self.graph.vertices)
-        for b in raw:
+        raw = []
+        for b in map(frozenset, self.blocks):
             if not b:
                 raise MalformedDiagram("empty block")
             if not b <= verts:
                 raise MalformedDiagram(f"block {sorted(b)} leaves the graph")
-        if len(set(raw)) != len(raw):
-            raise MalformedDiagram("duplicate blocks")
+            raw.append(_block(b))
         k = len(raw)
-        keys = [tuple(sorted(b)) for b in raw]
-        perm = sorted(range(k), key=keys.__getitem__)
+        if len({mask for _, _, mask in raw}) != k:
+            raise MalformedDiagram("duplicate blocks")
+        perm = sorted(range(k), key=lambda i: raw[i][1])
         pos = [0] * k
         for new, old in enumerate(perm):
             pos[old] = new
@@ -221,7 +277,7 @@ class StaircaseDiagram:
                 low = rest & -rest
                 covers.append((i, low.bit_length() - 1))
                 rest ^= low
-        object.__setattr__(self, "blocks", tuple(raw[i] for i in perm))
+        object.__setattr__(self, "blocks", tuple(raw[i][0] for i in perm))
         object.__setattr__(self, "covers", tuple(covers))
         object.__setattr__(self, "_up", tuple(up))
         object.__setattr__(self, "_down", tuple(down))
@@ -322,20 +378,18 @@ class StaircaseDiagram:
         up, down = self._up, self._down  # type: ignore[attr-defined]
         # for each vertex s, as bitmasks over the blocks: the blocks of its
         # chain 𝓓_s, and the blocks above some of them and below some of
-        # them; for each block, its vertices as a bitmask over the vertices
-        masks = dict.fromkeys(g.vertices, 0)
-        above, below = masks.copy(), masks.copy()
-        spans = [0] * len(blocks)
-        for i, b in enumerate(blocks):
-            span = 0
-            for s in b:
-                masks[s] |= 1 << i
-                above[s] |= up[i]
-                below[s] |= down[i]
-                span |= 1 << s
-            spans[i] = span
-        # a vertex set is connected when at most one of its runs starts
+        # them (indexed by the vertices of the cycle m, which a path leaves
+        # empty at 0); for each block, its vertex bitmask
         m = g._cycle
+        masks, above, below = [0] * m, [0] * m, [0] * m
+        for i, b in enumerate(blocks):
+            bit, higher, lower = 1 << i, up[i], down[i]
+            for s in b:
+                masks[s] |= bit
+                above[s] |= higher
+                below[s] |= lower
+        spans = [_block(b)[2] for b in blocks]
+        # a vertex set is connected when at most one of its runs starts
         for b, span in zip(blocks, spans):
             starts = run_starts(m, span)
             if starts & (starts - 1):
@@ -347,26 +401,30 @@ class StaircaseDiagram:
                     f"axiom (1): cover union {sorted(blocks[i])} u "
                     f"{sorted(blocks[j])} is disconnected"
                 )
-        for s, mask in masks.items():
-            if not self._is_chain(mask):
-                return False, f"axiom (2): blocks containing s_{s} are not a chain"
+        # one pass over the edges decides axioms (2) and (3): each 𝓓_s lies
+        # in the chain of an edge at s (a one-vertex path has one block at
+        # most).  𝓓_s is saturated in the chain unless a block of 𝓓_t
+        # outside it lies above one of its blocks and below another.
         for s, t in g.edges():
             if not self._is_chain(masks[s] | masks[t]):
-                return False, f"axiom (3): blocks meeting {{s_{s}, s_{t}}} are not a chain"
-            # 𝓓_s is saturated in the chain unless a block of 𝓓_t outside it
-            # lies above one of its blocks and below another
-            for name, other in ((s, t), (t, s)):
-                if above[name] & below[name] & masks[other] & ~masks[name]:
-                    return False, (
-                        f"axiom (3): blocks containing s_{name} are not saturated "
-                        f"in the {{s_{s}, s_{t}}} chain"
-                    )
+                why = f"blocks meeting {{s_{s}, s_{t}}} are not a chain"
+            elif above[s] & below[s] & masks[t] & ~masks[s]:
+                why = f"blocks containing s_{s} are not saturated in the {{s_{s}, s_{t}}} chain"
+            elif above[t] & below[t] & masks[s] & ~masks[t]:
+                why = f"blocks containing s_{t} are not saturated in the {{s_{s}, s_{t}}} chain"
+            else:
+                continue
+            # the first failing edge; a vertex failing axiom (2) comes first
+            for v in g.vertices:
+                if not self._is_chain(masks[v]):
+                    return False, f"axiom (2): blocks containing s_{v} are not a chain"
+            return False, f"axiom (3): {why}"
         # by axiom (2) each 𝓓_s is a chain: its minimum is the block of it
         # with nothing of it below, its maximum the one with nothing above
         minima = maxima = 0
-        for s, mask in masks.items():
-            minima |= mask & ~above[s]
-            maxima |= mask & ~below[s]
+        for mask, higher, lower in zip(masks, above, below):
+            minima |= mask & ~higher
+            maxima |= mask & ~lower
         bad = ~(minima & maxima) & ((1 << len(blocks)) - 1)
         if bad:
             b = blocks[(bad & -bad).bit_length() - 1]
@@ -668,11 +726,11 @@ def _directions(count: int, last: str) -> tuple[str, ...]:
 def _glue(
     graph: CoxGraph,
     pieces: Sequence[BrokenStaircase],
-    labels: Sequence[int],
-    cyclic: bool,
+    star: Optional[int] = None,
 ) -> StaircaseDiagram:
-    """Lay the pieces side by side on the labelled slots and join them in
-    one pass.
+    """Lay the pieces side by side on the slots 1..n and join them in one
+    pass; on a cycle, slot star holds s_{n-1}, and on a line (star None)
+    each slot is its own vertex.
 
     The overhang of a broken piece is carried forward and joins the first
     block of the next piece (on a cycle, the last piece's overhang joins
@@ -681,24 +739,28 @@ def _glue(
     rises, downward when it falls.  A broken piece has two or more blocks,
     so a block that absorbs an overhang is never carried on itself.  The
     callers have checked that directions alternate.
+
+    Blocks are slot bitmasks: a piece's block masks shifted by the slots
+    before it.  A cycle labels slot j with s_{(j - star - 1) mod n}, one
+    rotation of each mask.
     """
-    assert len(labels) == sum(p.n for p in pieces)
-    blocks: list[set[int]] = []
+    masks: list[int] = []
     rises: list[bool] = []
-    carry: set[int] = set()
-    offset = 0
+    carry = offset = 0
     for p in pieces:
-        own = [{labels[offset + v - 1] for v in b} for b in p.blocks]
+        own = [_block(b)[2] << offset for b in p.blocks]
         own[0] |= carry
-        carry = own.pop() if p.is_broken else set()
-        blocks.extend(own)
+        carry = own.pop() if p.is_broken else 0
+        masks.extend(own)
         rises.extend([p.direction == INCREASING] * len(own))
         offset += p.n
-    blocks[0] |= carry  # a line's final piece is never broken
-    k = len(blocks)
-    links = range(k if cyclic else k - 1)
+    masks[0] |= carry  # a line's final piece is never broken
+    k = len(masks)
+    if star is not None:
+        masks = [_rotate(mask, offset, star + 1) for mask in masks]
+    links = range(k if star is not None else k - 1)
     covers = [(i, (i + 1) % k) if rises[i] else ((i + 1) % k, i) for i in links]
-    return StaircaseDiagram(graph, [frozenset(b) for b in blocks], covers)
+    return StaircaseDiagram(graph, [_shared(mask) for mask in masks], covers)
 
 
 # ----------------------------------------------------------------------
@@ -821,9 +883,7 @@ def cycle_glue(pieces: Sequence[BrokenStaircase], mark: int) -> StaircaseDiagram
     if not 1 <= mark <= pieces[-1].n:
         raise ValueError("mark must point into the last piece")
     n = sum(p.n for p in pieces)
-    star = sum(p.n for p in pieces[:-1]) + mark
-    labels = [(slot - star - 1) % n for slot in range(1, n + 1)]
-    return _glue(cycle_graph(n), pieces, labels, cyclic=True)
+    return _glue(cycle_graph(n), pieces, star=n - pieces[-1].n + mark)
 
 
 def line_decompose(
@@ -867,8 +927,7 @@ def line_glue(
     seq = tuple(pieces) + (tail,)
     if tuple(p.direction for p in seq) != _directions(len(seq), INCREASING):
         raise ValueError("piece directions must alternate back from the final piece")
-    n = sum(p.n for p in seq)
-    return _glue(path_graph(n), seq, list(range(1, n + 1)), cyclic=False)
+    return _glue(path_graph(sum(p.n for p in seq)), seq)
 
 
 # ----------------------------------------------------------------------
@@ -961,19 +1020,27 @@ def enumerate_diagrams(g: CoxGraph, *, spherical_only: bool = False) -> frozense
 
 def _assemble_on_runs(g: CoxGraph, support: Sequence[int]) -> Iterator[StaircaseDiagram]:
     """Diagrams with the given (proper, on a cycle) support: independent
-    fully supported path diagrams on each maximal run."""
+    fully supported path diagrams on each maximal run.  A local vertex v
+    of a run is run[v - 1], so each local block mask is rotated onto its
+    run once, before the runs are combined."""
     if not support:
         yield StaircaseDiagram(g, (), ())
         return
-    runs = g.runs(support)
-    pools = [fully_supported_path_diagrams(len(run)) for run in runs]
+    m = g._cycle
+    pools = [
+        [
+            ([_shared(_rotate(_block(b)[2], m, m + 1 - run[0])) for b in local.blocks], local.covers)
+            for local in fully_supported_path_diagrams(len(run))
+        ]
+        for run in g.runs(support)
+    ]
     for combo in itertools.product(*pools):
         blocks: list[frozenset[int]] = []
         covers: list[tuple[int, int]] = []
-        for run, local in zip(runs, combo):
+        for placed, local_covers in combo:
             base = len(blocks)
-            blocks.extend(frozenset(run[v - 1] for v in b) for b in local.blocks)
-            covers.extend((base + i, base + j) for i, j in local.covers)
+            blocks.extend(placed)
+            covers.extend((base + i, base + j) for i, j in local_covers)
         yield StaircaseDiagram(g, blocks, covers)
 
 
@@ -982,11 +1049,14 @@ def _assemble_on_runs(g: CoxGraph, support: Sequence[int]) -> Iterator[Staircase
 
 
 @lru_cache(maxsize=1024)
-def _block_factor(period: int, block: frozenset[int], inner: frozenset[int]) -> AffinePermutation:
-    """The maximal element of W_block modulo W_inner: the minimal coset
-    representative of the longest element of W_block.  A few hundred
-    (period, block, inner) triples serve every diagram up to period 7."""
-    return longest_element(period, block) * longest_element(period, inner)
+def _block_factor(period: int, block: int, inner: int) -> AffinePermutation:
+    """The maximal element of W_block modulo W_inner, both given as vertex
+    bitmasks: the minimal coset representative of the longest element of
+    W_block.  A few hundred (period, block, inner) triples serve every
+    diagram up to period 7."""
+    return from_window(period, _longest_window(period, block)) * from_window(
+        period, _longest_window(period, inner)
+    )
 
 
 def to_element(d: StaircaseDiagram) -> AffinePermutation:
@@ -1009,12 +1079,11 @@ def to_element(d: StaircaseDiagram) -> AffinePermutation:
     """
     if not d.is_spherical():
         raise ValueError("only spherical diagrams map to group elements")
-    period = d.graph.n if d.graph.kind == "cycle" else d.graph.n + 1
+    period = d.graph._cycle
     win = range(1, period + 1)
-    processed: set[int] = set()
-    expected = 0
+    processed = expected = 0  # the vertex bitmask of the blocks so far
     for i in d._linear:
-        block = d.blocks[i]
+        block = _block(d.blocks[i])[2]
         factor = _block_factor(period, block, block & processed)
         expected += factor.length
         win = _compose(period, factor.window, win)

@@ -18,6 +18,10 @@ states it.
 diagram: the package generates broken staircases from Dyck paths instead.
 ``unbreak`` builds its inverse images, which the package only counts.
 
+``glue_by_labels`` glues broken staircases the way the definition reads:
+every slot gets its vertex from a list of labels and every block is built
+vertex by vertex, where the package shifts and rotates block bitmasks.
+
 ``validate_by_chains`` checks the staircase axioms on lists: it reads the
 order only through ``less``, lists the blocks of each vertex and edge in a
 linear extension of its own and walks consecutive pairs, where the package
@@ -246,6 +250,32 @@ def unbreak(b: BrokenStaircase) -> tuple[StaircaseDiagram, ...]:
         appended = b.blocks + (frozenset({top}),)
         out.append(BrokenStaircase(top, appended, b.direction).as_diagram())
     return tuple(out)
+
+
+def glue_by_labels(graph, pieces, labels, cyclic: bool) -> StaircaseDiagram:
+    """Gluing on an explicit list of slot labels: slot j of the pieces laid
+    side by side is vertex labels[j - 1], and each block is a set of labels
+    built vertex by vertex.  An overhang joins the first block of the next
+    piece (on a cycle, the last overhang joins block 0); every other block
+    is kept in slot order and linked to the next kept block, wrapping round
+    on a cycle, upward when its piece rises and downward when it falls."""
+    assert len(labels) == sum(p.n for p in pieces)
+    blocks: list[set[int]] = []
+    rises: list[bool] = []
+    carry: set[int] = set()
+    offset = 0
+    for p in pieces:
+        own = [{labels[offset + v - 1] for v in b} for b in p.blocks]
+        own[0] |= carry
+        carry = own.pop() if p.is_broken else set()
+        blocks.extend(own)
+        rises.extend([p.direction == INCREASING] * len(own))
+        offset += p.n
+    blocks[0] |= carry
+    k = len(blocks)
+    links = range(k if cyclic else k - 1)
+    covers = [(i, (i + 1) % k) if rises[i] else ((i + 1) % k, i) for i in links]
+    return StaircaseDiagram(graph, [frozenset(b) for b in blocks], covers)
 
 
 def validate_by_chains(d) -> tuple[bool, str]:

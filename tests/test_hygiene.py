@@ -22,16 +22,21 @@ Every name the benchmark reads from the package still exists: the methods
 and functions that bench/tracing.py wraps by name, and the ``S.<name>``
 calls of bench/workloads.py.  Without them the traced benchmark pass
 breaks while every other test passes.
+
+Every test runs under the time limit of tests/conftest.py, so a test that
+hangs fails instead of stalling the run.
 """
 
 import ast
 import importlib.util
 import inspect
 import re
+import signal
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import TEST_LIMIT_S
 
 import schubsmooth
 
@@ -329,3 +334,10 @@ def test_every_name_the_workloads_read_is_exported():
     }
     assert read  # workloads.py reads the package as S
     assert sorted(read - set(schubsmooth.__all__)) == []
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM on this platform")
+def test_each_test_runs_under_an_alarm():
+    remaining = signal.alarm(0)  # reading the alarm cancels it, so set it again
+    signal.alarm(remaining)
+    assert 0 < remaining <= TEST_LIMIT_S

@@ -15,12 +15,14 @@ flip, and the map to affine permutations.
 
 import itertools
 import json
+import random
 
 import pytest
 
 from oracles import (
     all_posets,
     break_staircase,
+    glue_by_labels,
     heights_by_chains,
     order_and_covers,
     to_element_by_factors,
@@ -104,6 +106,17 @@ def test_graph_connectivity_and_runs():
         c.runs(range(5))
     p = path_graph(5)
     assert p.runs({1, 2, 4}) == ((1, 2), (4,))
+    # a path has no vertex 0, although the cycle it is checked on does
+    with pytest.raises(ValueError, match=r"^subset nodes \[0\] outside 1\.\.5$"):
+        p.runs({0, 1})
+    with pytest.raises(ValueError, match=r"^subset nodes \[0\] outside 1\.\.5$"):
+        p.is_connected({0, 1, 5})
+    with pytest.raises(ValueError, match=r"^subset nodes \[6, 7\] outside 1\.\.5$"):
+        p.run_order({5, 6, 7})
+    with pytest.raises(ValueError, match=r"^subset nodes \[5\] outside 0\.\.4$"):
+        c.runs({4, 5})
+    # the graph constructors hand out one shared graph per n
+    assert path_graph(5) is p and cycle_graph(5) is c and c == CoxGraph("cycle", 5)
 
 
 # ----------------------------------------------------------------------
@@ -302,12 +315,16 @@ def test_poset_oracle_counts():
 
 def test_validate_matches_chain_oracle():
     # the same verdict and reason as the list-based checker on the tier-one
-    # universe with at most four blocks, where four blocks on the 4-cycle
-    # are kept only when none nests in another, and on every diagram of the
-    # small cycles
+    # universe with at most four blocks on the small graphs, where four
+    # blocks on the 4-cycle are kept only when none nests in another, and
+    # at most three blocks on path_graph(4) and cycle_graph(5); on a seeded
+    # sample of block sets holding a disconnected block; and on every
+    # diagram of the small cycles
     reasons = set()
-    for g in (path_graph(3), cycle_graph(3), cycle_graph(4)):
-        for k in range(5):
+    universes = [(g, 4) for g in (path_graph(3), cycle_graph(3), cycle_graph(4))]
+    universes += [(g, 3) for g in (path_graph(4), cycle_graph(5))]
+    for g, most in universes:
+        for k in range(most + 1):
             for chosen in itertools.combinations(connected_blocks(g), k):
                 if k == 4 == g.n and any(a <= b or b <= a for a, b in itertools.combinations(chosen, 2)):
                     continue
@@ -317,9 +334,32 @@ def test_validate_matches_chain_oracle():
                     assert verdict == validate_by_chains(d), (chosen, rel)
                     reasons.add(verdict[1].split(":")[0])
     assert reasons == {"", "axiom (1)", "axiom (2)", "axiom (3)", "axiom (4)"}
+    rng = random.Random(0)
+    for g in (path_graph(4), cycle_graph(5)):
+        subsets = [frozenset(c) for r in range(1, g.n + 1) for c in itertools.combinations(g.vertices, r)]
+        disconnected = [b for b in subsets if not g.is_connected(b)]
+        for _ in range(300):
+            chosen = {rng.choice(disconnected), *rng.sample(subsets, rng.randint(0, 2))}
+            d = StaircaseDiagram(g, chosen, tuple(rng.choice(all_posets(len(chosen)))))
+            assert d.validate() == validate_by_chains(d), (chosen, d.covers)
+            assert d.validate()[1].startswith("axiom (1)")
     for n in range(2, 6):
         for d in enumerate_diagrams(cycle_graph(n)):
             assert d.validate() == validate_by_chains(d) == (True, "")
+
+
+def test_axiom_2_is_reported_before_an_earlier_edge_fails_axiom_3():
+    # on the 5-cycle, {4, 0} < {1} < {0, 1} splits the s_0 blocks in the
+    # chain of the first edge {s_0, s_1}, and adding {2, 3} and {3},
+    # incomparable, breaks the chain of s_3 further on
+    g = cycle_graph(5)
+    chain = [[4, 0], [1], [0, 1]]
+    saturation = "axiom (3): blocks containing s_0 are not saturated in the {s_0, s_1} chain"
+    d = StaircaseDiagram(g, chain, [(0, 1), (1, 2)])
+    assert d.validate() == validate_by_chains(d) == (False, saturation)
+    d = StaircaseDiagram(g, chain + [[2, 3], [3]], [(0, 1), (1, 2)])
+    vertex = "axiom (2): blocks containing s_3 are not a chain"
+    assert d.validate() == validate_by_chains(d) == (False, vertex)
 
 
 def test_tiers_agree_at_small_scale():
@@ -539,12 +579,16 @@ def test_cycle_decompose_wrap_example():
 
 
 def test_cycle_glue_decompose_inverse():
-    for n in range(2, 6):
+    # every piece tuple the enumeration glues, rebuilt by the label-list oracle
+    for n in range(2, 7):
         for d in fully_supported_cycle_diagrams(n):
             pieces, mark = cycle_decompose(d)
             assert sum(p.n for p in pieces) == n
             assert 1 <= mark <= pieces[-1].n
             assert cycle_glue(pieces, mark) == d
+            star = n - pieces[-1].n + mark  # the slot of s_{n-1}
+            labels = [(slot - star - 1) % n for slot in range(1, n + 1)]
+            assert glue_by_labels(cycle_graph(n), pieces, labels, cyclic=True) == d
 
 
 def test_cycle_glue_validation():
@@ -574,6 +618,25 @@ def test_line_glue_decompose_inverse():
             pieces, final = line_decompose(d)
             assert line_glue(pieces, final) == d
             assert final.is_increasing() and final.is_fully_supported()
+            tail = BrokenStaircase(final.graph.n, tuple(sorted(final.blocks, key=min)), INCREASING)
+            labels = list(range(1, n + 1))
+            assert glue_by_labels(path_graph(n), (*pieces, tail), labels, cyclic=False) == d
+
+
+def test_blocks_are_shared():
+    # one frozenset per vertex set across every diagram through cycle 6,
+    # held by caches of bounded size
+    for n in range(2, 7):
+        for d in enumerate_diagrams(cycle_graph(n)):
+            for b in d.blocks:
+                shared, key, mask = staircase._block(b)
+                assert shared is b and staircase._shared(mask) is b
+                assert key == tuple(sorted(b)) and mask == sum(1 << v for v in b)
+    # a block given any other way is replaced by the shared one
+    d = StaircaseDiagram(cycle_graph(5), [{4, 0}, (1,)], [(1, 0)])
+    assert d.blocks[0] is staircase._shared(0b10001) and d.blocks[1] is staircase._shared(0b10)
+    for cache in (staircase._block, staircase._shared):
+        assert 0 < cache.cache_info().maxsize < 1 << 20
 
 
 def test_line_glue_validation():
