@@ -3,12 +3,14 @@
 The one exact polynomial of the package: Poincare polynomials in q, and
 the numerators and denominators of the exact counting series in t.  It
 has addition, subtraction, negation, multiplication, evaluation, the
-palindromicity test q^deg * p(1/q) == p(q), and the Gaussian binomials
-that are the Poincare polynomials of Grassmannians.
+palindromicity test q^deg * p(1/q) == p(q), the greatest common divisor
+and exact quotient in Z[t], and the Gaussian binomials that are the
+Poincare polynomials of Grassmannians.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import zip_longest
 from operator import index
@@ -98,6 +100,85 @@ class Polynomial:
             else:
                 parts.append(f"{c}*q^{k}" if c != 1 else f"q^{k}")
         return " + ".join(parts)
+
+
+def _primitive(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """Nonzero coefficients divided by their gcd."""
+    c = math.gcd(*coeffs)
+    return coeffs if c == 1 else tuple(x // c for x in coeffs)
+
+
+def _pseudo_remainder(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """lc(g)^k·f mod g for nonzero g, one leading term of f at a time,
+    with k the number of terms removed; trailing zeros trimmed."""
+    r, lead, dg = list(f), g[-1], len(g) - 1
+    while len(r) > dg:
+        top, shift = r.pop(), len(r) - dg
+        r = [x * lead for x in r]
+        for i, y in enumerate(g[:-1]):
+            r[shift + i] -= top * y
+        while r and not r[-1]:
+            r.pop()
+    return tuple(r)
+
+
+def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """The greatest common divisor in Z[t], with positive leading coefficient.
+
+    Its content is the gcd of the two contents.  Its primitive part ends
+    the primitive pseudo-remainder sequence f, g -> g, pp(prem(f, g)) of
+    the primitive parts of a and b: the last g that divides f, or 1 once a
+    remainder is a nonzero constant.  gcd(0, 0) is 0.
+
+    >>> gcd(Polynomial.of(2, -2), Polynomial.of(-4, 0, 4)).coeffs  # 2(1-t), 4(t²-1)
+    (-2, 2)
+    >>> gcd(Polynomial.of(1, 1), Polynomial.of(1, -1)).coeffs
+    (1,)
+    """
+    if not a.coeffs or not b.coeffs:
+        g = a.coeffs or b.coeffs
+    else:
+        content = math.gcd(math.gcd(*a.coeffs), math.gcd(*b.coeffs))
+        f, g = _primitive(a.coeffs), _primitive(b.coeffs)
+        if len(f) < len(g):
+            f, g = g, f
+        while len(g) > 1:
+            r = _pseudo_remainder(f, g)
+            if not r:
+                break
+            f, g = g, _primitive(r)
+        else:
+            g = (1,)
+        g = tuple(content * x for x in g)
+    return Polynomial(g if not g or g[-1] > 0 else tuple(-x for x in g))
+
+
+def exact_quotient(a: Polynomial, b: Polynomial) -> Polynomial:
+    """The c in Z[t] with a = b·c; ValueError when there is none.
+
+    >>> exact_quotient(Polynomial.of(-4, 0, 4), Polynomial.of(2, -2)).coeffs
+    (-2, -2)
+    >>> exact_quotient(Polynomial.of(1, 0, 1), Polynomial.of(1, 1))
+    Traceback (most recent call last):
+    ...
+    ValueError: 1 + q^2 is not a multiple of 1 + q
+    """
+    r, g = list(a.coeffs), b.coeffs
+    if not g:
+        raise ZeroDivisionError("division by the zero polynomial")
+    lead, dg = g[-1], len(g) - 1
+    out = [0] * max(len(r) - dg, 0)
+    for shift in range(len(out) - 1, -1, -1):
+        c, rest = divmod(r[-1], lead)
+        if rest:  # r keeps its nonzero top
+            break
+        r.pop()
+        out[shift] = c
+        for i, y in enumerate(g[:-1]):
+            r[shift + i] -= c * y
+    if any(r):
+        raise ValueError(f"{a} is not a multiple of {b}")
+    return Polynomial(tuple(out))
 
 
 def gaussian_binomial(m: int, a: int) -> Polynomial:

@@ -11,8 +11,8 @@ exact.  Three representations:
                   The closed form for A is evaluated in it.
     RootFraction  an element (p + q·S)/d of Q(t, S), S = sqrt(1-4t), with
                   Polynomials p, q and d.  Every part of the assembly is
-                  computed in it, once, and expanded to a truncated series
-                  at the end.
+                  computed in it, once, reduced to lowest terms, and
+                  expanded to a truncated series at the end.
 
 The series of interest:
 
@@ -34,18 +34,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index, mul, sub
+from operator import add, index, mul, sub
 from typing import NamedTuple
 
-from .poly import Polynomial
+from .poly import Polynomial, exact_quotient, gcd
 
 
 @dataclass(frozen=True)
 class IntSeries:
     """Integer power series known exactly through t^order.
 
-    Binary operations truncate to the shorter operand's order.  Products and
-    quotients skip the terms past an operand's degree: O(order·degree) each.
+    Binary operations truncate to the shorter operand's order.  A product
+    adds one scaled row of the higher-degree operand per nonzero coefficient
+    of the other, and a quotient runs a recurrence over the divisor's
+    degree: O(order·degree) each, for the smaller degree.
 
     >>> (IntSeries.of(9, 1, -1) * IntSeries.of(9, 1, -1).inverse()).coeffs
     (1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
@@ -98,12 +100,13 @@ class IntSeries:
 
     def __mul__(self, other: "IntSeries") -> "IntSeries":
         n = min(self.order, other.order)
-        da, db = min(self.degree, n), min(other.degree, n)
-        a, rb = self.coeffs, other.coeffs[n::-1]  # rb[n - j] is other[j]
+        short, long = (self, other) if self.degree <= other.degree else (other, self)
+        dl, b = min(long.degree, n), long.coeffs
         out = [0] * (n + 1)
-        for k in range(min(n, da + db) + 1):
-            lo, hi = max(0, k - db), min(k, da) + 1
-            out[k] = sum(map(mul, a[lo:hi], rb[n - k + lo : n - k + hi]))
+        for i, x in enumerate(short.coeffs[: min(short.degree, n) + 1]):
+            if x:
+                m = min(dl, n - i) + 1  # the terms of long that land at or below n
+                out[i : i + m] = map(add, out[i : i + m], map(x.__mul__, b[:m]))
         return IntSeries(tuple(out))
 
     def inverse(self) -> "IntSeries":
@@ -154,6 +157,8 @@ def sqrt_one_minus_4t(order: int) -> IntSeries:
     >>> (sqrt_one_minus_4t(80) * sqrt_one_minus_4t(80)).coeffs == IntSeries.of(80, 1, -4).coeffs
     True
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     out = [1]
     for k in range(1, order + 1):
         out.append(out[-1] * 2 * (2 * k - 3) // k)
@@ -178,9 +183,10 @@ class RootFraction:
 
     p, q and d are Polynomials in t, and d is not zero; the constructor
     also takes each as a sequence of integer coefficients from t^0 up.
-    Nothing is reduced, so one element has many representations: x and y
-    are equal exactly when x - y has p and q both zero.  Only expand
-    truncates.
+    Arithmetic does not reduce, so one element has many representations:
+    x and y are equal exactly when x - y has p and q both zero.  reduced()
+    gives the one in lowest terms, which is what exact_parts stores.  Only
+    expand truncates.
 
     >>> s = RootFraction((), (1,), (1,))
     >>> square = s * s
@@ -236,6 +242,24 @@ class RootFraction:
             return self * RootFraction(d, (), p)
         return self * RootFraction(p * d, -(q * d), p * p - q * q * ONE_MINUS_4T)
 
+    def reduced(self) -> "RootFraction":
+        """The same element in lowest terms: p, q and d divided by their gcd
+        in Z[t], with the lowest nonzero coefficient of d made positive.
+
+        As 1 and S are independent over Q(t), two elements are equal
+        exactly when their reduced forms are.
+
+        >>> x = RootFraction((2, -2), (0, 2, -2), (-4, 4))  # 2(1-t)(1 + tS) / -4(1-t)
+        >>> y = x.reduced()
+        >>> y.p.coeffs, y.q.coeffs, y.d.coeffs
+        ((-1,), (0, -1), (2,))
+        """
+        p, q, d = self.p, self.q, self.d
+        g = gcd(gcd(d, q), p)
+        if (next(filter(None, d.coeffs)) > 0) != (next(filter(None, g.coeffs)) > 0):
+            g = -g
+        return RootFraction(exact_quotient(p, g), exact_quotient(q, g), exact_quotient(d, g))
+
     def times_t(self) -> "RootFraction":
         return RootFraction(T * self.p, T * self.q, self.d)
 
@@ -262,6 +286,8 @@ class RootFraction:
         With d = t^k·e and e(0) = c nonzero, the numerator p + q·S must
         vanish below t^k, and the quotient comes from the division
         recurrence by c, which must leave no remainder at any coefficient.
+        Each numerator coefficient reads the deg q + 1 terms of S that meet
+        q, so the cost is O(order·(deg q + deg e)).
 
         >>> (RootFraction.poly(1) / RootFraction.poly(2, -1)).expand(3)
         Traceback (most recent call last):
@@ -273,11 +299,9 @@ class RootFraction:
         p, q, d = self.p.coeffs, self.q.coeffs, self.d.coeffs
         k = next(i for i, c in enumerate(d) if c)
         n = order + k
-        rs = sqrt_one_minus_4t(n).coeffs[::-1]  # rs[n - j] is S_j
-        num = [
-            (p[j] if j < len(p) else 0) + sum(map(mul, q[: j + 1], rs[n - j : n + 1]))
-            for j in range(n + 1)
-        ]
+        # S behind deg q zeros: s[j : j + len(q)] is S_(j - deg q), ..., S_j
+        s, rq = (0,) * (len(q) - 1) + sqrt_one_minus_4t(n).coeffs, q[::-1]
+        num = [(p[j] if j < len(p) else 0) + sum(map(mul, rq, s[j : j + len(q)])) for j in range(n + 1)]
         if any(num[:k]):
             raise ValueError(f"the element has a pole at t = 0 (its denominator has t^{k})")
         e = d[k:]
@@ -307,16 +331,22 @@ class ExactParts(NamedTuple):
 @lru_cache(maxsize=1)
 def exact_parts() -> ExactParts:
     """Every part, built once on first use by the formulas that the
-    series_* functions below state."""
+    series_* functions below state, and reduced to lowest terms as soon as
+    it is built, so the parts after it are computed from the reduced one.
+
+    >>> a = exact_parts().A  # (P - Q·S)/D of series_A_closed
+    >>> a.p.coeffs, a.q.coeffs, a.d.coeffs
+    ((2, -19, 62, -88, 74, -44, 16), (-2, 15, -31, 24, -6), (1, -11, 42, -68, 52, -16))
+    """
     one, one_minus_t = RootFraction.poly(1), RootFraction.poly(1, -1)
-    am = (RootFraction.poly(1, -2) - RootFraction((), (1,), (1,))) / RootFraction.poly(0, 2)
-    ab = one_minus_t * am / RootFraction.poly(0, 1) - one
+    am = ((RootFraction.poly(1, -2) - RootFraction((), (1,), (1,))) / RootFraction.poly(0, 2)).reduced()
+    ab = (one_minus_t * am / RootFraction.poly(0, 1) - one).reduced()
     square = ab * ab
-    abar = square.t_derivative() / (one - square)
-    af = am / (one - ab)
-    star = af.times_t() / one_minus_t
+    abar = (square.t_derivative() / (one - square)).reduced()
+    af = (am / (one - ab)).reduced()
+    star = (af.times_t() / one_minus_t).reduced()
     a = abar + star.t_derivative() / (one - star) + (one / one_minus_t).times_t().times_t()
-    return ExactParts(am, ab, abar, af, star, a)
+    return ExactParts(am, ab, abar, af, star, a.reduced())
 
 
 def series_AM(order: int) -> IntSeries:

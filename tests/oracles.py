@@ -57,7 +57,12 @@ the window on each block of positions.
 ``truncated_assembly`` computes the six counting series the way the
 generating functions read, on truncated coefficient tuples: a shift and an
 exact halving for A_M, then schoolbook products and inverses, where the
-package computes each part exactly in Q(t, sqrt(1-4t)) and expands it once.
+package computes each part exactly in Q(t, sqrt(1-4t)), reduces it to
+lowest terms and expands it once.
+
+``poly_gcd_by_fractions`` is Euclid's algorithm over the rationals, with a
+monic result, where the package runs a primitive pseudo-remainder sequence
+over the integers.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -587,6 +593,29 @@ def poly_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return tuple(out)
+
+
+def poly_gcd_by_fractions(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """The monic gcd over Q of two integer polynomials given low degree
+    first, by Euclid's algorithm with exact rational long division; () when
+    both are zero."""
+
+    def trim(f):
+        f = list(f)
+        while f and f[-1] == 0:
+            f.pop()
+        return f
+
+    f, g = trim(map(Fraction, a)), trim(map(Fraction, b))
+    while g:
+        r = f[:]
+        while len(r) >= len(g):
+            c, shift = r[-1] / g[-1], len(r) - len(g)
+            for i, y in enumerate(g):
+                r[shift + i] -= c * y
+            r = trim(r)
+        f, g = g, r
+    return tuple(x / f[-1] for x in f) if f else ()
 
 
 def truncated_assembly(order: int) -> dict[str, tuple[int, ...]]:

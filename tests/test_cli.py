@@ -303,6 +303,18 @@ def test_series_enumeration_cap(capsys):
         assert (code, out) == (1, "") and "--enum-cap" in err
 
 
+def test_series_closed_and_assembled_agree_at_the_cap(capsys):
+    # with enumeration cut to n = 2 the diff is closed against assembled
+    order = str(cli.SERIES_ORDER_MAX)
+    code, out, err = run(
+        capsys, "series", "--which", "A", "--order", order, "--method", "all", "--enum-cap", "2", "--diff"
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["methods"] == ["assembled", "closed", "enumerate"]
+    assert len(doc["rows"]) == cli.SERIES_ORDER_MAX and doc["mismatches"] == []
+
+
 @pytest.mark.parametrize("which", tuple(cli.SERIES))
 def test_series_methods_agree(capsys, which):
     code, out, err = run(capsys, "series", "--which", which, "--order", "6", "--method", "all", "--diff")

@@ -4,7 +4,8 @@ The anchor points are independent of the implementation: the square root
 series is compared against Catalan numbers, each generating function
 against its defining functional equation by multiplying denominators
 back, against the truncated-series assembly of the oracles, and the
-closed form against the exact assembly by cross-multiplying.
+closed form against the exact assembly by cross-multiplying and, in lowest
+terms, coefficient for coefficient.
 """
 
 from functools import reduce
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import poly_product, series_inverse, series_product, truncated_assembly
+from schubsmooth.poly import Polynomial, gcd
 from schubsmooth.series import (
     D_FACTORS,
     P_FACTORS,
@@ -122,6 +124,17 @@ def int_series(draw):
     return IntSeries.of(order, *draw(st.lists(st.integers(), min_size=size, max_size=size)))
 
 
+@st.composite
+def short_and_long(draw):
+    """A polynomial of degree at most 6 and a dense series, both of an order
+    from 300 to 400: a product of the two adds one row per nonzero
+    coefficient of the short one."""
+    order = draw(st.integers(300, 400))
+    short = draw(st.lists(st.integers(-(2**70), 2**70), max_size=7))
+    dense = draw(st.lists(st.integers(-(2**70), 2**70), min_size=order + 1, max_size=order + 1))
+    return IntSeries.of(order, *short), IntSeries(tuple(dense))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(int_series(), int_series(), st.sampled_from((1, -1)))
 def test_arithmetic_matches_schoolbook_oracle(f, g, c):
@@ -133,6 +146,17 @@ def test_arithmetic_matches_schoolbook_oracle(f, g, c):
     q = f / g
     assert q.coeffs == series_product(f.coeffs, inverse)
     assert (q * g).coeffs == f.coeffs[: q.order + 1]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(short_and_long(), st.integers(0, 40))
+def test_short_times_long_at_high_order_matches_oracle(pair, cut):
+    short, dense = pair
+    # the dense one truncated below the other's order, and in either position
+    shorter = IntSeries(dense.coeffs[: dense.order + 1 - cut])
+    for a, b in ((short, dense), (dense, short), (short, shorter), (shorter, short)):
+        assert (a * b).coeffs == series_product(a.coeffs, b.coeffs)
+    assert (short * short).coeffs == series_product(short.coeffs, short.coeffs)
 
 
 def test_shifts_and_derivative():
@@ -157,6 +181,35 @@ def root_fractions(draw):
     poly = st.lists(st.integers(-9, 9), max_size=4)
     d = (draw(st.sampled_from((1, -1))),) + tuple(draw(poly))
     return RootFraction(tuple(draw(poly)), tuple(draw(poly)), d)
+
+
+def expansion(x: RootFraction, order: int):
+    """The expansion, or the message of the ValueError that refuses it."""
+    try:
+        return x.expand(order).coeffs
+    except ValueError as exc:
+        return str(exc)
+
+
+def lowest_terms(x: RootFraction) -> bool:
+    common = gcd(gcd(x.p, x.q), x.d)
+    return common == Polynomial.of(1) and next(filter(None, x.d.coeffs)) > 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(root_fractions(), root_fractions())
+def test_reducing_keeps_the_value(x, y):
+    # products and quotients of the drawn elements have common factors and
+    # denominators with a power of t or a constant other than 1 or -1
+    elements = [x, x * y, x + y, x.t_derivative()]
+    if not is_zero(y):
+        elements.append(x / y)
+    for z in elements:
+        r = z.reduced()
+        assert is_zero(z - r)
+        assert lowest_terms(r) and r.reduced() == r
+        assert expansion(r, 12) == expansion(z, 12)
+        assert (-z).reduced() == -r
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -184,6 +237,9 @@ def test_catalan_prefix():
 
 
 def test_sqrt_squares_back_and_matches_catalan():
+    assert sqrt_one_minus_4t(0).coeffs == (1,)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        sqrt_one_minus_4t(-1)
     s = sqrt_one_minus_4t(600)
     assert (s * s).coeffs == IntSeries.of(600, 1, -4).coeffs
     assert s[0] == 1
@@ -249,6 +305,13 @@ def test_b_identity_against_m():
     assert ab[0] != am[1] - am[0]
 
 
+def test_parts_are_in_lowest_terms():
+    for name, part in exact_parts()._asdict().items():
+        assert lowest_terms(part), name
+        # catches a return of the unreduced A, with 44, 42 and 43 coefficients
+        assert max(map(len, (part.p.coeffs, part.q.coeffs, part.d.coeffs))) <= 8, name
+
+
 def test_exact_assembly_equals_closed_form():
     """A = (P - Q·S)/D exactly, so closed and assembled agree at every order."""
     parts = exact_parts()
@@ -256,6 +319,8 @@ def test_exact_assembly_equals_closed_form():
     P, Q, D = (reduce(poly_product, f, (1,)) for f in (P_FACTORS, Q_FACTORS, D_FACTORS))
     assert poly_product(a.p.coeffs, D) == poly_product(P, a.d.coeffs)
     assert poly_product(a.q.coeffs, D) == poly_product(tuple(-c for c in Q), a.d.coeffs)
+    # in lowest terms the two are the same triple
+    assert a == RootFraction(P, tuple(-c for c in Q), D)
     # two defining equations, exactly: the Catalan equation A_M = t(1 + A_M)²
     # shifted by one, and A_F·(1 - A_B) = A_M
     lifted = ONE + parts.AM
