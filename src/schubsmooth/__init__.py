@@ -9,7 +9,6 @@ functions.  See the README for the command-line interface.
 from .affine import (
     AffinePermutation,
     ball_levels,
-    bruhat_lower_interval,
     cycle_runs,
     from_window,
     from_word,

@@ -87,19 +87,25 @@ class Polynomial:
         return self.coeffs == tuple(reversed(self.coeffs))
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*q" if c != 1 else "q")
-            else:
-                parts.append(f"{c}*q^{k}" if c != 1 else f"q^{k}")
-        return " + ".join(parts)
+        """The polynomial in the variable q of the Poincare polynomials."""
+        return _show(self, "q")
+
+
+def _show(p: Polynomial, var: str) -> str:
+    """p written out in the variable var, low degree first."""
+    if not p.coeffs:
+        return "0"
+    parts = []
+    for k, c in enumerate(p.coeffs):
+        if c == 0:
+            continue
+        if k == 0:
+            parts.append(str(c))
+        elif k == 1:
+            parts.append(f"{c}*{var}" if c != 1 else var)
+        else:
+            parts.append(f"{c}*{var}^{k}" if c != 1 else f"{var}^{k}")
+    return " + ".join(parts)
 
 
 def _primitive(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -161,7 +167,7 @@ def exact_quotient(a: Polynomial, b: Polynomial) -> Polynomial:
     >>> exact_quotient(Polynomial.of(1, 0, 1), Polynomial.of(1, 1))
     Traceback (most recent call last):
     ...
-    ValueError: 1 + q^2 is not a multiple of 1 + q
+    ValueError: 1 + t^2 is not a multiple of 1 + t
     """
     r, g = list(a.coeffs), b.coeffs
     if not g:
@@ -177,7 +183,7 @@ def exact_quotient(a: Polynomial, b: Polynomial) -> Polynomial:
         for i, y in enumerate(g[:-1]):
             r[shift + i] -= c * y
     if any(r):
-        raise ValueError(f"{a} is not a multiple of {b}")
+        raise ValueError(f"{_show(a, 't')} is not a multiple of {_show(b, 't')}")
     return Polynomial(tuple(out))
 
 

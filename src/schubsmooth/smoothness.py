@@ -77,19 +77,26 @@ from .errors import BudgetExceeded
 
 
 def is_smooth(w: AffinePermutation) -> bool:
-    """Smoothness of the Schubert variety of w: avoid 3412 and 4231.
-
-    Each inversion (a, d) with a in one period and d - a < 2D gets one pass
-    over the positions between them, which finds a 4231 or a 3412 with
-    first position a and last position d (see the module docstring).
-    When D > 2(n-1) the displacement bound settles it: w contains 3412.
+    """Smoothness of the Schubert variety of w: avoid 3412 and 4231
+    (_avoids_3412_4231 on the window).
 
     >>> is_smooth(from_word(3, [0, 1, 2]))
     True
     >>> is_smooth(from_word(2, [1, 0, 1]))
     False
     """
-    n, win = w.n, w.window
+    return _avoids_3412_4231(w.n, w.window)
+
+
+def _avoids_3412_4231(n: int, win: tuple[int, ...]) -> bool:
+    """Whether the window of an affine permutation of period n avoids 3412
+    and 4231; no element is built.
+
+    Each inversion (a, d) with a in one period and d - a < 2D gets one pass
+    over the positions between them, which finds a 4231 or a 3412 with
+    first position a and last position d (see the module docstring).
+    When D > 2(n-1) the displacement bound settles it: w contains 3412.
+    """
     reach = max(abs(v - i) for i, v in enumerate(win, start=1))
     if reach == 0:
         return True  # the identity
@@ -194,7 +201,8 @@ def enumerate_smooth(n: int) -> frozenset[AffinePermutation]:
     """The smooth elements of the affine symmetric group of period n, n at
     most PERIOD_MAX (BudgetExceeded above).  Each smooth p of period n - 1
     and each c with |c - n| <= 2(n-1) give one window (phi0(p(1) + t), ...,
-    phi0(p(n-1) + t), c), kept when is_smooth holds (module docstring).
+    phi0(p(n-1) + t), c), kept when it avoids 3412 and 4231 (module
+    docstring); only a kept window is built as a checked element.
 
     >>> len(enumerate_smooth(3))
     31
@@ -210,8 +218,7 @@ def enumerate_smooth(n: int) -> frozenset[AffinePermutation]:
         res = [v for v in range(n) if v != c % n]
         t = -(c // n)  # fixed by the window sum (module docstring)
         for p in below:
-            head = tuple([n * ((x + t) // m) + res[(x + t) % m] for x in p])
-            w = AffinePermutation(n, head + (c,))
-            if is_smooth(w):
-                found.add(w)
+            window = (*[n * ((x + t) // m) + res[(x + t) % m] for x in p], c)
+            if _avoids_3412_4231(n, window):
+                found.add(AffinePermutation(n, window))
     return frozenset(found)

@@ -28,9 +28,9 @@ from oracles import (
 )
 from schubsmooth.affine import (
     AffinePermutation,
+    _quotient_walk,
     ball_levels,
     cached_attribute,
-    bruhat_lower_interval,
     coset_decompose,
     cycle_runs,
     from_window,
@@ -307,9 +307,15 @@ def test_coset_decompose_and_support_match_stripping_oracle():
 
 
 def lower_by_subwords(w, J=()):
-    """The oracle's interval in the walk's form: window -> length, on W^J."""
+    """The oracle's interval in the walk's form, on W^J: the window of each
+    x⁻¹ -> the length of x."""
     js = frozenset(J)
-    return {x.window: x.length for x in subword_lower_set(w) if not x.right_descents & js}
+    return {x.inverse().window: x.length for x in subword_lower_set(w) if not x.right_descents & js}
+
+
+def walk(w, J=()):
+    """The package's walk of the x <= w in W^J, J given as a set."""
+    return _quotient_walk(w, sum(1 << j for j in set(J)))
 
 
 def test_bruhat_matches_subword_oracle():
@@ -317,38 +323,40 @@ def test_bruhat_matches_subword_oracle():
     for w in ball(3, 5) | ball(4, 3):
         for mask in range(1 << w.n):
             J = {v for v in range(w.n) if mask >> v & 1}
-            assert bruhat_lower_interval(w, J) == lower_by_subwords(w, J), (w.window, J)
+            assert walk(w, J) == lower_by_subwords(w, J), (w.window, J)
 
 
 def test_bruhat_lower_interval():
     w = longest_element(4, {1, 2})
-    interval = bruhat_lower_interval(w)
+    interval = walk(w)
     assert interval == lower_by_subwords(w)
     assert max(interval.values()) == w.length
-    assert [x for x, length in interval.items() if length == w.length] == [w.window]
+    assert [y for y, length in interval.items() if length == w.length] == [w.inverse().window]
     assert len(interval) == poincare_polynomial(w)(1)
     long = from_word(2, [0, 1] * 8 + [0])  # reduced: the infinite dihedral group
     assert long.length == 17
     with pytest.raises(BudgetExceeded, match="length 17 exceeds cap 16"):
-        bruhat_lower_interval(long)
+        walk(long)
+    with pytest.raises(BudgetExceeded, match="length 17 exceeds cap 16"):
+        poincare_polynomial(long)
 
 
 def test_interval_is_a_new_dict_per_call():
     w = from_word(4, [2, 3, 1, 2, 0])
     expected = lower_by_subwords(w, {1})
-    first = bruhat_lower_interval(w, {1})
+    first = walk(w, {1})
     first.clear()
     first[(9, 9)] = 9
-    assert bruhat_lower_interval(w, {1}) == expected
-    whole = bruhat_lower_interval(w)
+    assert walk(w, {1}) == expected
+    whole = walk(w)
     whole[w.window] = 0
-    assert bruhat_lower_interval(w) == lower_by_subwords(w)
+    assert walk(w) == lower_by_subwords(w)
 
 
 def test_interval_lengths_count_inversions():
     for w in ball(3, 6) | ball(4, 5):
-        for x, length in bruhat_lower_interval(w).items():
-            assert length == length_by_inversions(from_window(w.n, x)), (w.window, x)
+        for y, length in walk(w).items():
+            assert length == length_by_inversions(from_window(w.n, y).inverse()), (w.window, y)
 
 
 def test_poincare_polynomial_counts_interval_by_length():
@@ -385,10 +393,11 @@ def test_relative_poincare_polynomial_matches_subwords():
 
 def test_poincare_polynomial_builds_no_element(monkeypatch):
     # w's length, descents and reduced word stay unread until the count
-    # starts: they are read off the window too
+    # starts: they are read off the window too.  The walk holds inverse
+    # windows of W^J alone and never inverts one back
     w = from_word(8, [1, 2, 3, 4, 5, 6, 7, 0, 1, 2])
     assert from_window(8, w.window).length == 10
-    built = []
+    built, inverted = [], []
     check = AffinePermutation.__post_init__
 
     def counted(self):
@@ -396,12 +405,15 @@ def test_poincare_polynomial_builds_no_element(monkeypatch):
         check(self)
 
     monkeypatch.setattr(AffinePermutation, "__post_init__", counted)
+    monkeypatch.setattr("schubsmooth.affine._inverse_window", inverted.append)
     p = poincare_polynomial(w)
     q = poincare_polynomial(w, {3})
-    assert built == []
+    held = len(_quotient_walk(w, 1 << 3))
+    assert built == inverted == []
     monkeypatch.undo()
     assert p == Polynomial.from_length_counts(poincare_by_subwords(w))
     assert q == Polynomial.from_length_counts(poincare_by_subwords(w, {3}))
+    assert held == q(1) < p(1)
 
 
 def test_cycle_runs_match_adjacency_oracle():
@@ -439,7 +451,7 @@ def test_node_sets_outside_the_cycle_are_rejected():
         g.run_order,
         g.runs,
         *(functools.partial(f, w) for f in (
-            complete_bp_decomposition, is_smooth_partial, poincare_polynomial, bruhat_lower_interval
+            complete_bp_decomposition, is_smooth_partial, poincare_polynomial
         )),
     ]
     for nodes, bad in (({5}, [5]), ({-1}, [-1]), ({1, 3}, [3]), ({0, 1, 2, 5}, [5]), ([0, 7, -2, 7], [-2, 7])):

@@ -21,7 +21,6 @@ from oracles import (
 from schubsmooth.affine import (
     AffinePermutation,
     _compose,
-    bruhat_lower_interval,
     coset_decompose,
     from_window,
     from_word,
@@ -33,6 +32,7 @@ from schubsmooth.bp import (
     BPDecomposition,
     GrassmannianLabel,
     _find_grassmannian_bp,
+    _level,
     complete_bp_decomposition,
     fibre_tower,
     is_smooth_partial,
@@ -136,10 +136,49 @@ def test_complete_decomposition_matches_element_search_oracle():
     assert pairs == 5424
 
 
+def test_level_cache_keeps_every_decomposition(monkeypatch):
+    # the levels below the top are read through one bounded cache: a
+    # decomposition from a cold cache, one from a cache warmed by all the
+    # pairs before it, and the element search agree, on every smooth
+    # element with n <= 5 relative to J empty and to a random set of
+    # ascents, and on ball(4, 7), some of whose levels below the top fail
+    # and are cached as None
+    rng = random.Random(4)
+    pool = [w for n in range(2, 6) for w in enumerate_smooth(n)] + list(ball(4, 7))
+    pool.sort(key=lambda w: (w.n, w.length, w.window))
+    pairs = []
+    for w in pool:
+        ascents = sorted(set(range(w.n)) - w.right_descents)
+        pairs += [(w, frozenset()), (w, frozenset(rng.sample(ascents, rng.randint(1, len(ascents)))))]
+    cold = []
+    for w, J in pairs:
+        _level.cache_clear()
+        cold.append(complete_bp_decomposition(w, J))
+    _level.cache_clear()
+    failed = []
+
+    def level(*key):
+        hit = _level(*key)
+        if hit is None:
+            failed.append(key)
+        return hit
+
+    monkeypatch.setattr("schubsmooth.bp._level", level)
+    warm = [complete_bp_decomposition(w, J) for w, J in pairs]
+    monkeypatch.undo()
+    assert _level.cache_info().hits > 0
+    for (w, J), c, d in zip(pairs, cold, warm):
+        assert c == d, (w.window, sorted(J))
+        assert (None if d is None else (d.factors, d.chain, d.maximal)) == bp_decomposition_by_elements(w, J)
+    assert (len(pairs), warm.count(None), len(failed), len(set(failed))) == (2790, 1325, 302, 199)
+
+
 def test_decomposition_builds_one_element_per_level(monkeypatch):
-    # rejected candidates and every u stay windows: each level builds its
-    # v alone, and the support and length it carries from the split are
-    # those of a fresh element with the same window
+    # rejected candidates and every u stay windows: from a cold level cache
+    # each level builds its v alone; a repeat searches only the top level
+    # again, builds no element below it and shares the cached factors; and
+    # the support and length a v carries from the split are those of a
+    # fresh element with the same window
     pool = [AffinePermutation(n, w.window) for n in range(2, 6) for w in enumerate_smooth(n)]
     built = []
     check = AffinePermutation.__post_init__
@@ -151,9 +190,14 @@ def test_decomposition_builds_one_element_per_level(monkeypatch):
     monkeypatch.setattr(AffinePermutation, "__post_init__", counting_check)
     counts = []
     for w in pool:
+        _level.cache_clear()
         before = len(built)
-        depth = len(complete_bp_decomposition(w).factors)
-        counts.append((len(built) - before, depth))
+        cold = complete_bp_decomposition(w)
+        counts.append((len(built) - before, len(cold.factors)))
+        before = len(built)
+        warm = complete_bp_decomposition(w)
+        assert len(built) - before == min(len(cold.factors), 1), w.window
+        assert warm == cold and all(x is y for x, y in zip(warm.factors[1:], cold.factors[1:])), w.window
     monkeypatch.undo()
     assert len(pool) == 1100
     assert all(count == depth for count, depth in counts)
@@ -329,6 +373,6 @@ def test_j_nodes_outside_the_cycle_are_rejected():
     # one ValueError, before any bitmask or window is formed from them
     w = from_window(3, (4, -1, 3))
     for J in ([7], [-1], [3], [0, 5]):
-        for call in (complete_bp_decomposition, is_smooth_partial, poincare_polynomial, bruhat_lower_interval):
+        for call in (complete_bp_decomposition, is_smooth_partial, poincare_polynomial):
             with pytest.raises(ValueError, match="outside 0..2"):
                 call(w, J)

@@ -160,6 +160,25 @@ def test_enumerate_smooth_matches_bounded_product():
         assert enumerate_smooth(n) == {w for w in bounded_windows(n) if is_smooth(w)}
 
 
+def test_enumerate_smooth_builds_only_kept_windows(monkeypatch):
+    # a rejected candidate is scanned as a window: a cold enumeration of
+    # periods 2..4 builds one checked element per smooth element found
+    before = {n: enumerate_smooth(n) for n in (2, 3, 4)}
+    built = []
+    check = AffinePermutation.__post_init__
+
+    def counting_check(w):
+        built.append(w.window)
+        check(w)
+
+    monkeypatch.setattr(AffinePermutation, "__post_init__", counting_check)
+    enumerate_smooth.cache_clear()
+    after = {n: enumerate_smooth(n) for n in (2, 3, 4)}
+    monkeypatch.undo()
+    assert after == before
+    assert len(built) == len(set(built)) == 5 + 31 + 173
+
+
 def test_flattening_keeps_smooth_elements_smooth():
     smooth = [w for n, r in ((3, 9), (4, 8), (5, 6)) for w in ball(n, r) if is_smooth(w)]
     assert len(smooth) == 538
