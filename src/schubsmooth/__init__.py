@@ -59,7 +59,6 @@ from .staircase import (
     StaircaseDiagram,
     broken_staircases,
     cycle_decompose,
-    cycle_glue,
     cycle_graph,
     dyck_paths,
     enumerate_diagrams,

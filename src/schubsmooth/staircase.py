@@ -33,10 +33,13 @@ block.
 Blocks are shared: bounded caches map a block to one shared frozenset,
 its sort key and its vertex bitmask (bit v for vertex v), and a bitmask
 back to that frozenset, so an enumeration holds one frozenset per vertex
-set and the constructor sorts no block.  Gluing shifts each piece's block
-masks past the slots before it and rotates a cycle's slots onto their
-vertices; path diagrams go onto the runs of a support by the same
-rotation.  validate and to_element read the masks too.
+set and the constructor sorts no block.  The constructor keeps each
+block's mask and closes the order in one walk up the supplied relation,
+which also lists the blocks bottom to top; validate and to_element read
+what it kept.  Gluing shifts each piece's block masks past the slots
+before it; a cycle lays each choice of pieces out once and rotates the
+layout onto its vertices once per mark, and path diagrams go onto the
+runs of a support by the same rotation.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .affine import (
     AffinePermutation,
@@ -202,18 +205,29 @@ class StaircaseDiagram:
     """Blocks with a partial order given by covers.
 
     The constructor canonicalizes: blocks become their shared frozensets
-    and are sorted by their cached keys, the supplied relation pairs
+    and are sorted by their cached keys, and the supplied relation pairs
     (indices into the block list as given) are closed transitively and
     reduced back to covers.  Structural defects (empty or duplicate
     blocks, relation cycles, bad indices) raise MalformedDiagram; axiom
     violations are reported by validate() instead.
 
-    The order is kept as two tuples of bitmasks over the sorted block
-    indices, both built once by the constructor: bit j of ``_up[i]`` is set
-    when block j lies strictly above block i, and bit j of ``_down[i]``
-    when it lies strictly below, so ``_down`` is the transpose of ``_up``.
-    Every order query (less, the linear extension, heights, the chain test
-    and the axiom checks of validate) reads these masks.
+    The closure is one walk over the pairs, as predecessor and successor
+    bitmasks over the sorted block indices.  It lists, each time, the
+    lowest block whose predecessors are all listed; the blocks below it
+    are its predecessors and all below them, and its covers are the
+    predecessors that lie below no other.  A walk that stops before every
+    block is listed has met a cycle.  So the constructor takes O(blocks +
+    pairs) mask operations and keeps, over the sorted indices:
+
+    - ``_up`` and ``_down``, tuples of bitmasks: bit j of ``_up[i]`` is
+      set when block j lies strictly above block i, and bit j of
+      ``_down[i]`` when it lies strictly below, so each is the transpose
+      of the other (``_up`` comes from one walk back down the list);
+    - ``_linear``, the order of the walk: every block after all below it;
+    - ``_masks``, the vertex bitmask of each block.
+
+    Every order query (less, heights, the chain test and the axiom checks
+    of validate) reads these.
 
     >>> d = StaircaseDiagram(cycle_graph(10),
     ...     [[0, 1, 2, 3], [7, 8, 9, 0, 1], [5, 6, 7], [3, 4, 5, 6]],
@@ -244,43 +258,63 @@ class StaircaseDiagram:
         pos = [0] * k
         for new, old in enumerate(perm):
             pos[old] = new
-        up = [0] * k
+        pred, succ = [0] * k, [0] * k
+        tops = 0  # the blocks with a predecessor
         for pair in self.covers:
             i, j = pair
             if not (0 <= i < k and 0 <= j < k):
                 raise MalformedDiagram(f"cover index {pair} out of range")
             if i == j:
                 raise MalformedDiagram("reflexive cover")
-            up[pos[i]] |= 1 << pos[j]
-        for m in range(k):  # Warshall: what lies above m lies above all below m
-            bit, above = 1 << m, up[m]
-            for i in range(k):
-                if up[i] & bit:
-                    up[i] |= above
-        # one pass over the closure: transpose it into down, and keep as
-        # covers the pairs that nothing lies between (bits are walked lowest
-        # first by hand; a generator per block would double the cost)
+            i, j = pos[i], pos[j]
+            pred[j] |= 1 << i
+            succ[i] |= 1 << j
+            tops |= 1 << j
+        # the walk of the class docstring; bits are walked lowest first by
+        # hand, since a generator per block would double the cost
+        ready, listed = ((1 << k) - 1) & ~tops, 0
         down = [0] * k
-        covers = []
-        for i in range(k):
-            bit, rest, through = 1 << i, up[i], 0
-            if rest & bit:
-                raise MalformedDiagram("relation has a cycle: not a partial order")
+        linear, covers = [], []
+        while ready:
+            low = ready & -ready
+            j = low.bit_length() - 1
+            ready ^= low
+            listed |= low
+            linear.append(j)
+            rest, through = pred[j], 0
             while rest:
                 low = rest & -rest
-                j = low.bit_length() - 1
-                through |= up[j]
-                down[j] |= bit
+                through |= down[low.bit_length() - 1]
                 rest ^= low
-            rest = up[i] & ~through
+            down[j] = pred[j] | through
+            rest = pred[j] & ~through
             while rest:
                 low = rest & -rest
-                covers.append((i, low.bit_length() - 1))
+                covers.append((low.bit_length() - 1, j))
                 rest ^= low
+            rest = succ[j]
+            while rest:  # a successor is ready once its last predecessor is listed
+                low = rest & -rest
+                if not pred[low.bit_length() - 1] & ~listed:
+                    ready |= low
+                rest ^= low
+        if len(linear) < k:  # the blocks left wait on each other
+            raise MalformedDiagram("relation has a cycle: not a partial order")
+        up = [0] * k
+        for i in reversed(linear):  # what lies above a block, top down
+            rest = above = succ[i]
+            while rest:
+                low = rest & -rest
+                above |= up[low.bit_length() - 1]
+                rest ^= low
+            up[i] = above
+        covers.sort()
         object.__setattr__(self, "blocks", tuple(raw[i][0] for i in perm))
         object.__setattr__(self, "covers", tuple(covers))
         object.__setattr__(self, "_up", tuple(up))
         object.__setattr__(self, "_down", tuple(down))
+        object.__setattr__(self, "_linear", tuple(linear))
+        object.__setattr__(self, "_masks", tuple(raw[i][2] for i in perm))
 
     # -- order queries ------------------------------------------------
 
@@ -300,24 +334,6 @@ class StaircaseDiagram:
         return True
 
     @cached_attribute
-    def _linear(self) -> tuple[int, ...]:
-        """All block indices bottom to top: repeatedly the lowest index with
-        nothing left below it.  Every walk up the order follows this one."""
-        down = self._down  # type: ignore[attr-defined]
-        left, order = (1 << len(down)) - 1, []
-        while left:
-            rest = left
-            while True:  # the lowest block of rest with nothing left below it
-                low = rest & -rest
-                i = low.bit_length() - 1
-                if not down[i] & left:
-                    break
-                rest ^= low
-            order.append(i)
-            left ^= low
-        return tuple(order)
-
-    @cached_attribute
     def support(self) -> frozenset[int]:
         out: set[int] = set()
         for b in self.blocks:
@@ -332,17 +348,21 @@ class StaircaseDiagram:
         and equivalent to properness of every block on a cycle."""
         if self.graph.kind == "path":
             return True
-        return all(len(b) < self.graph.n for b in self.blocks)
+        return (1 << self.graph.n) - 1 not in self._masks  # type: ignore[attr-defined]
 
     def is_empty(self) -> bool:
         return not self.blocks
 
     def heights(self) -> tuple[int, ...]:
-        """Length of a longest chain strictly below each block."""
-        down, k = self._down, len(self.blocks)  # type: ignore[attr-defined]
-        hs = [0] * k
-        for i in self._linear:
-            hs[i] = max((hs[j] + 1 for j in range(k) if down[i] >> j & 1), default=0)
+        """Length of a longest chain strictly below each block: one more
+        than the greatest height among the blocks it covers, read up the
+        linear extension."""
+        below: list[list[int]] = [[] for _ in self.blocks]
+        for i, j in self.covers:
+            below[j].append(i)
+        hs = [0] * len(below)
+        for j in self._linear:  # type: ignore[attr-defined]
+            hs[j] = max((hs[i] + 1 for i in below[j]), default=0)
         return tuple(hs)
 
     def flip(self) -> "StaircaseDiagram":
@@ -363,7 +383,7 @@ class StaircaseDiagram:
             raise ValueError("increasing is defined for path graphs only")
         if not self._is_chain((1 << len(self.blocks)) - 1):
             return False
-        chain = [self.blocks[i] for i in self._linear]
+        chain = [self.blocks[i] for i in self._linear]  # type: ignore[attr-defined]
         return all(min(lo) < min(hi) and max(lo) < max(hi) for lo, hi in zip(chain, chain[1:]))
 
     # -- axioms ---------------------------------------------------------
@@ -374,12 +394,12 @@ class StaircaseDiagram:
         >>> StaircaseDiagram(path_graph(3), [[1, 2]], []).validate()
         (True, '')
         """
-        g, blocks = self.graph, self.blocks
+        g, blocks, spans = self.graph, self.blocks, self._masks  # type: ignore[attr-defined]
         up, down = self._up, self._down  # type: ignore[attr-defined]
         # for each vertex s, as bitmasks over the blocks: the blocks of its
         # chain 𝓓_s, and the blocks above some of them and below some of
         # them (indexed by the vertices of the cycle m, which a path leaves
-        # empty at 0); for each block, its vertex bitmask
+        # empty at 0)
         m = g._cycle
         masks, above, below = [0] * m, [0] * m, [0] * m
         for i, b in enumerate(blocks):
@@ -388,7 +408,6 @@ class StaircaseDiagram:
                 masks[s] |= bit
                 above[s] |= higher
                 below[s] |= lower
-        spans = [_block(b)[2] for b in blocks]
         # a vertex set is connected when at most one of its runs starts
         for b, span in zip(blocks, spans):
             starts = run_starts(m, span)
@@ -675,6 +694,11 @@ class BrokenStaircase:
     def is_broken(self) -> bool:
         return len(self.blocks) >= 2 and self.blocks[-1] <= self.blocks[-2]
 
+    @cached_attribute
+    def _masks(self) -> tuple[int, ...]:
+        """The vertex bitmask of each block, in order."""
+        return tuple(_block(b)[2] for b in self.blocks)
+
     def as_diagram(self) -> StaircaseDiagram:
         """The chain as a staircase diagram on the local path (only valid
         as a diagram when not broken)."""
@@ -724,13 +748,11 @@ def _directions(count: int, last: str) -> tuple[str, ...]:
 
 
 def _glue(
-    graph: CoxGraph,
-    pieces: Sequence[BrokenStaircase],
-    star: Optional[int] = None,
-) -> StaircaseDiagram:
+    pieces: Sequence[BrokenStaircase], cyclic: bool
+) -> tuple[list[int], tuple[tuple[int, int], ...]]:
     """Lay the pieces side by side on the slots 1..n and join them in one
-    pass; on a cycle, slot star holds s_{n-1}, and on a line (star None)
-    each slot is its own vertex.
+    pass: the slot bitmasks of the glued blocks, in slot order, and the
+    covers between them as index pairs.
 
     The overhang of a broken piece is carried forward and joins the first
     block of the next piece (on a cycle, the last piece's overhang joins
@@ -740,15 +762,16 @@ def _glue(
     so a block that absorbs an overhang is never carried on itself.  The
     callers have checked that directions alternate.
 
-    Blocks are slot bitmasks: a piece's block masks shifted by the slots
-    before it.  A cycle labels slot j with s_{(j - star - 1) mod n}, one
-    rotation of each mask.
+    A block's slot mask is its piece's block mask shifted by the slots
+    before the piece.  On a line each slot is its own vertex; a cycle
+    places the same layout once per choice of the slot of s_{n-1}
+    (_on_cycle).
     """
     masks: list[int] = []
     rises: list[bool] = []
     carry = offset = 0
     for p in pieces:
-        own = [_block(b)[2] << offset for b in p.blocks]
+        own = [mask << offset for mask in p._masks]  # type: ignore[attr-defined]
         own[0] |= carry
         carry = own.pop() if p.is_broken else 0
         masks.extend(own)
@@ -756,11 +779,18 @@ def _glue(
         offset += p.n
     masks[0] |= carry  # a line's final piece is never broken
     k = len(masks)
-    if star is not None:
-        masks = [_rotate(mask, offset, star + 1) for mask in masks]
-    links = range(k if star is not None else k - 1)
-    covers = [(i, (i + 1) % k) if rises[i] else ((i + 1) % k, i) for i in links]
-    return StaircaseDiagram(graph, [_shared(mask) for mask in masks], covers)
+    links = range(k if cyclic else k - 1)
+    return masks, tuple((i, (i + 1) % k) if rises[i] else ((i + 1) % k, i) for i in links)
+
+
+def _on_cycle(
+    masks: Sequence[int], covers: tuple[tuple[int, int], ...], n: int, star: int
+) -> StaircaseDiagram:
+    """The diagram of a cyclic layout of _glue on the n-cycle, with slot
+    star holding s_{n-1}: slot j holds s_{(j - star - 1) mod n}, one
+    rotation of each mask."""
+    blocks = [_shared(_rotate(mask, n, star + 1)) for mask in masks]
+    return StaircaseDiagram(cycle_graph(n), blocks, covers)
 
 
 # ----------------------------------------------------------------------
@@ -868,7 +898,9 @@ def cycle_decompose(
 
 def cycle_glue(pieces: Sequence[BrokenStaircase], mark: int) -> StaircaseDiagram:
     """Inverse of cycle_decompose: lay the pieces around the cycle with the
-    mark slot labelled s_{n-1}.
+    mark slot labelled s_{n-1}.  fully_supported_cycle_diagrams does not
+    call it: it builds only valid piece choices, and places the layout of
+    each once per mark.
 
     >>> p = BrokenStaircase(1, (frozenset({1}),), INCREASING)
     >>> q = BrokenStaircase(1, (frozenset({1}),), DECREASING)
@@ -883,7 +915,7 @@ def cycle_glue(pieces: Sequence[BrokenStaircase], mark: int) -> StaircaseDiagram
     if not 1 <= mark <= pieces[-1].n:
         raise ValueError("mark must point into the last piece")
     n = sum(p.n for p in pieces)
-    return _glue(cycle_graph(n), pieces, star=n - pieces[-1].n + mark)
+    return _on_cycle(*_glue(pieces, cyclic=True), n, n - pieces[-1].n + mark)
 
 
 def line_decompose(
@@ -927,7 +959,8 @@ def line_glue(
     seq = tuple(pieces) + (tail,)
     if tuple(p.direction for p in seq) != _directions(len(seq), INCREASING):
         raise ValueError("piece directions must alternate back from the final piece")
-    return _glue(path_graph(sum(p.n for p in seq)), seq)
+    masks, covers = _glue(seq, cyclic=False)
+    return StaircaseDiagram(path_graph(sum(p.n for p in seq)), [_shared(m) for m in masks], covers)
 
 
 # ----------------------------------------------------------------------
@@ -968,7 +1001,8 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 def fully_supported_cycle_diagrams(n: int) -> tuple[StaircaseDiagram, ...]:
     """All fully supported spherical diagrams on the cycle with n vertices,
     generated by cyclic gluing of an even number of broken pieces with a
-    marked vertex in the last one; n is capped by ENUM_MAX.
+    marked vertex in the last one; n is capped by ENUM_MAX.  Each choice
+    of pieces is laid out once and placed on the cycle once per mark.
 
     >>> len(fully_supported_cycle_diagrams(3))
     18
@@ -984,8 +1018,10 @@ def fully_supported_cycle_diagrams(n: int) -> tuple[StaircaseDiagram, ...]:
                     for size, direction in zip(comp, _directions(parts, last))
                 ]
                 for choice in itertools.product(*pools):
-                    for mark in range(1, comp[-1] + 1):
-                        out.append(cycle_glue(choice, mark))
+                    masks, covers = _glue(choice, cyclic=True)
+                    # the mark runs over the last piece: s_{n-1} in slot star
+                    for star in range(n - comp[-1] + 1, n + 1):
+                        out.append(_on_cycle(masks, covers, n, star))
     result = tuple(out)
     assert len(set(result)) == len(result), "cycle gluing is injective"
     return result
@@ -1029,7 +1065,7 @@ def _assemble_on_runs(g: CoxGraph, support: Sequence[int]) -> Iterator[Staircase
     m = g._cycle
     pools = [
         [
-            ([_shared(_rotate(_block(b)[2], m, m + 1 - run[0])) for b in local.blocks], local.covers)
+            ([_shared(_rotate(mask, m, m + 1 - run[0])) for mask in local._masks], local.covers)
             for local in fully_supported_path_diagrams(len(run))
         ]
         for run in g.runs(support)
@@ -1079,14 +1115,15 @@ def to_element(d: StaircaseDiagram) -> AffinePermutation:
     """
     if not d.is_spherical():
         raise ValueError("only spherical diagrams map to group elements")
-    period = d.graph._cycle
-    win = range(1, period + 1)
+    period, masks = d.graph._cycle, d._masks  # type: ignore[attr-defined]
+    win: Sequence[int] = range(1, period + 1)
     processed = expected = 0  # the vertex bitmask of the blocks so far
-    for i in d._linear:
-        block = _block(d.blocks[i])[2]
+    for i in d._linear:  # type: ignore[attr-defined]
+        block = masks[i]
         factor = _block_factor(period, block, block & processed)
         expected += factor.length
-        win = _compose(period, factor.window, win)
+        # the first factor's window is the product so far
+        win = _compose(period, factor.window, win) if processed else factor.window
         processed |= block
     w = AffinePermutation(period, tuple(win))
     assert w.length == expected, "block factors multiply length-additively"

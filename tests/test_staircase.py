@@ -16,6 +16,7 @@ flip, and the map to affine permutations.
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -175,6 +176,7 @@ def test_constructor_order_matches_oracle():
                         continue
                     d = StaircaseDiagram(g, blocks, pairs)
                     assert d.blocks == sorted_blocks
+                    assert d._masks == tuple(sum(1 << v for v in b) for b in d.blocks)
                     assert d.covers == tuple(sorted(expected[1]))
                     assert {
                         (i, j) for i in range(k) for j in range(k) if d.less(i, j)
@@ -722,9 +724,9 @@ def test_to_element_matches_factor_oracle():
     assert [to_element(d) for d in pool] == expected  # warm factor cache
     # a cached attribute is computed once and kept on the diagram
     d = pool[-1].flip()
-    assert "_linear" not in d.__dict__
-    order = d._linear
-    assert d._linear is order and d.__dict__["_linear"] is order
+    assert "support" not in d.__dict__
+    support = d.support
+    assert d.support is support and d.__dict__["support"] is support
 
 
 def test_to_element_builds_one_element_per_diagram(monkeypatch):
@@ -759,6 +761,23 @@ def test_to_element_rejects_nonspherical():
 
 # ----------------------------------------------------------------------
 # serialization and rendering
+
+
+def test_long_reversed_chain_is_cheap():
+    # 4,000 interval blocks on 1000 vertices, each covering the block listed
+    # before it, so the chain runs against the sorted order: construction
+    # and validate take O(blocks + pairs) mask operations, where a
+    # quadratic closure or linear extension takes seconds
+    ivs = sorted(tuple(range(a, a + size)) for size in range(1, 6) for a in range(1, 1002 - size))
+    blocks = [list(b) for b in ivs[:4000]]
+    covers = [[i + 1, i] for i in range(3999)]
+    start = time.perf_counter()
+    d = from_json({"graph": {"kind": "path", "n": 1000}, "blocks": blocks, "covers": covers})
+    ok, why = d.validate()
+    assert time.perf_counter() - start < 5.0
+    assert d._linear == tuple(range(3999, -1, -1))
+    assert d.covers == tuple((i + 1, i) for i in range(3999))
+    assert not ok and why.startswith("axiom (3)")
 
 
 def test_json_roundtrip():
