@@ -27,9 +27,8 @@ dropping one node per level.  When every factor v_i is the maximal element
 of W_{S(v_i)} modulo W_{K_i ∩ S(v_i)}, each level is a Grassmannian fibre
 bundle and the base element is smooth; smooth elements always admit such a
 decomposition.  Each level keeps the first BP split over its candidate
-nodes s in increasing order; _find_grassmannian_bp proves that no later
-split is preferable, and _search_level that every BP split continues the
-chain.
+nodes s in increasing order; _search_level proves that no later split is
+preferable and that every BP split continues the chain.
 
 The chain is walked on windows and bitmasks.  Each level receives from the
 one before the window of its element, the length, and the support and right
@@ -89,23 +88,6 @@ from .errors import NotSmooth
 from .smoothness import is_smooth
 
 
-def _is_bp(
-    n: int, v_support: int, ks: int, u_descents: int, uwin: list[int], j0: Optional[Sequence[int]]
-) -> bool:
-    """The BP test S(v) ∩ K ⊆ D_L(u w0(J)), on bitmasks of S(v), K and
-    D_L(u), the window of u and j0, the window of w0(J) (None for J empty).
-    D_L(u) lies in D_L(u w0(J)), so u w0(J) is composed, on windows, only
-    for the nodes of S(v) ∩ K outside D_L(u); for J empty, u w0(J) = u and
-    there are none to find."""
-    rest = v_support & ks & ~u_descents
-    if not rest:
-        return True
-    if j0 is None:
-        return False
-    inv = _inverse_window(_compose(n, uwin, j0))
-    return not any(_rises(inv, i) for i in _nodes(n, rest))
-
-
 def _inversions(order: list[int]) -> int:
     """The number of pairs out of order in a list of distinct integers."""
     seen: list[int] = []
@@ -120,15 +102,20 @@ def _bp_cut(
     n: int, values: list[int], ks: int, j0: Optional[Sequence[int]]
 ) -> Optional[tuple[list[int], int, list[int], int, int]]:
     """The parabolic split w = vu along a proper K, a bitmask, when it is BP
-    relative to J (j0 as in _is_bp), from values[p] = w(p) for 0 <= p < 2n:
-    the window of v, S(v) as a bitmask, the window of u, l(u) and S(u) as a
-    bitmask.  None when the split is not BP.
+    relative to J, from values[p] = w(p) for 0 <= p < 2n and j0, the window
+    of w0(J) (None for J empty): the window of v, S(v) as a bitmask, the
+    window of u, l(u) and S(u) as a bitmask.  None when the split is not BP.
 
     Everything about u is read off the block orders of the cut: u sends
     order[k] to a + k, so node a + j of the block a..a+m is a left descent
     of u when order[j] > order[j + 1], and lies in S(u) when
     max(order[0..j]) > a + j, as u⁻¹ maps a..a+j into itself otherwise
-    (affine module docstring); l(u) is the number of pairs out of order."""
+    (affine module docstring); l(u) is the number of pairs out of order.
+
+    The BP test S(v) ∩ K ⊆ D_L(u w0(J)) then runs on bitmasks.  D_L(u) lies
+    in D_L(u w0(J)), so u w0(J) is composed, on windows, only for the nodes
+    of S(v) ∩ K outside D_L(u); for J empty, u w0(J) = u and there are none
+    to find."""
     vwin, uwin, orders = _coset_cut(n, values, ks)
     descents = u_support = u_length = 0
     for a, order in orders:
@@ -143,60 +130,14 @@ def _bp_cut(
                 top = after
         u_length += _inversions(order)
     v_support = _support_bits(vwin)
-    if not _is_bp(n, v_support, ks, descents, uwin, j0):
-        return None
+    rest = v_support & ks & ~descents
+    if rest:
+        if j0 is None:
+            return None
+        inv = _inverse_window(_compose(n, uwin, j0))
+        if any(_rises(inv, i) for i in _nodes(n, rest)):
+            return None
     return vwin, v_support, uwin, u_length, u_support
-
-
-def _find_grassmannian_bp(
-    n: int, window: Sequence[int], length: int, support: int, descents: int,
-    jbits: int, j0: Optional[Sequence[int]],
-) -> Optional[tuple[AffinePermutation, int, int, list[int], int, int, int]]:
-    """A Grassmannian BP decomposition w = vu relative to J, from the
-    window of w, l(w), S(w), D_R(w) and J as bitmasks, and j0 as in _is_bp:
-    (v, S(v), K, and the window, length, support and right descents of u),
-    with the sets as bitmasks, or None.  Only v is built as an element.
-
-    K = (S(w) ∪ J) \\ {s} for the first candidate s, in increasing order,
-    whose split _bp_cut accepts.  The candidates are the nodes of
-    S(w) \\ J outside D_R(w).  When w is the maximal element of its
-    (finite) support parabolic, all of S(w) lies in D_R(w), and the one
-    candidate is the smallest node of S(w) \\ J.  u always has proper
-    support, as it lies in W_K and K misses s.  D_R(u) = D_R(w) ∩ K: for t
-    in K, ut lies in W_K, so l(wt) = l(v) + l(ut) and wt < w exactly when
-    ut < u; u has no right descent outside K.
-
-    The first BP split is kept even when its v has full support (the
-    twisted spiral case), for then s is the only candidate:
-
-    - Descent lemma: for w in W^J and t not in J, t ∈ D_R(w w0(J)) implies
-      t ∈ D_R(w).  Indeed w0(J) α_t = α_t + Σ_{j ∈ J} c_j α_j with every
-      c_j >= 0, and w maps each α_j to a positive root, as w is in W^J; so
-      w w0(J) α_t is a negative root only if w α_t is.
-    - If a BP split w = vu at s has S(v) = S, then K ⊆ D_L(u w0(J)), and
-      u w0(J) lies in the finite group W_K, as K misses s; so u w0(J) is
-      w0(K), whose right descents are all of K.  As v is in W^K, the
-      product v (u w0(J)) = w w0(J) is reduced, so K ⊆ D_R(w w0(J)), and
-      by the lemma K \\ J ⊆ D_R(w).  Every node of S(w) \\ J but s is in
-      K \\ J: none of them is a candidate.
-    """
-    if support != (1 << n) - 1 and descents == support:
-        rest = support & ~jbits
-        candidates = rest & -rest
-    else:
-        candidates = support & ~jbits & ~descents
-    values = [window[-1] - n, *window, *[x + n for x in window[:-1]]]
-    while candidates:
-        s = candidates & -candidates
-        candidates ^= s
-        ks = (support | jbits) & ~s
-        cut = _bp_cut(n, values, ks, j0)
-        if cut is not None:
-            vwin, v_support, uwin, u_length, u_support = cut
-            v = AffinePermutation(n, tuple(vwin))
-            v.__dict__.update(support=_nodes(n, v_support), length=length - u_length)  # cached attributes
-            return v, v_support, ks, uwin, u_length, u_support, descents & ks
-    return None
 
 
 @dataclass(frozen=True)
@@ -256,7 +197,7 @@ LEVEL_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=256)  # a queries benchmark pass meets about 120 distinct (n, J)
 def _j0_window(n: int, jbits: int) -> Optional[tuple[int, ...]]:
-    """The window of w0(J) for a proper nonempty J, as _is_bp takes it;
+    """The window of w0(J) for a proper nonempty J, as _bp_cut takes it;
     None for J empty, and for J = S, which leaves only w = e and no level."""
     return tuple(_longest_window(n, jbits)) if 0 < jbits < (1 << n) - 1 else None
 
@@ -268,7 +209,31 @@ def _search_level(
     l(w), and S(w), D_R(w) and J as bitmasks, with S(w) ⊄ J: the pair of
     (v, K, its label, whether v is maximal) and the same key
     (window, length, support, descents) of u, or None when the level
-    admits no Grassmannian BP split (_find_grassmannian_bp).
+    admits no Grassmannian BP split.  Only v is built as an element,
+    carrying S(v) and l(v) = l(w) - l(u).
+
+    K = (S(w) ∪ J) \\ {s} for the first candidate s, in increasing order,
+    whose split _bp_cut accepts.  The candidates are the nodes of
+    S(w) \\ J outside D_R(w).  When w is the maximal element of its
+    (finite) support parabolic, all of S(w) lies in D_R(w), and the one
+    candidate is the smallest node of S(w) \\ J.  u always has proper
+    support, as it lies in W_K and K misses s.  D_R(u) = D_R(w) ∩ K: for t
+    in K, ut lies in W_K, so l(wt) = l(v) + l(ut) and wt < w exactly when
+    ut < u; u has no right descent outside K.
+
+    The first BP split is kept even when its v has full support (the
+    twisted spiral case), for then s is the only candidate:
+
+    - Descent lemma: for w in W^J and t not in J, t ∈ D_R(w w0(J)) implies
+      t ∈ D_R(w).  Indeed w0(J) α_t = α_t + Σ_{j ∈ J} c_j α_j with every
+      c_j >= 0, and w maps each α_j to a positive root, as w is in W^J; so
+      w w0(J) α_t is a negative root only if w α_t is.
+    - If a BP split w = vu at s has S(v) = S, then K ⊆ D_L(u w0(J)), and
+      u w0(J) lies in the finite group W_K, as K misses s; so u w0(J) is
+      w0(K), whose right descents are all of K.  As v is in W^K, the
+      product v (u w0(J)) = w w0(J) is reduced, so K ⊆ D_R(w w0(J)), and
+      by the lemma K \\ J ⊆ D_R(w).  Every node of S(w) \\ J but s is in
+      K \\ J: none of them is a candidate.
 
     Every BP split continues the chain K_i = S(u_{i+1}) ∪ J, for every J:
     S(w) = S(v) ∪ S(u) with S(u) ⊆ K, and the BP test gives
@@ -276,17 +241,31 @@ def _search_level(
     S(u) ∪ J, which lies in K.  The label and maximality follow
     BPDecomposition.
     """
-    hit = _find_grassmannian_bp(n, window, length, support, descents, jbits, _j0_window(n, jbits))
-    if hit is None:
-        return None
-    v, v_support, ks, uwin, u_length, u_support, u_descents = hit
-    assert u_support | jbits == ks, "a BP split continues the chain"
-    s = ((support | jbits) & ~ks).bit_length() - 1
-    (nodes,) = _runs(n, v_support)
-    a, m = nodes.index(s) + 1, len(nodes) + 1
-    maximal = v_support != (1 << n) - 1 and v.length == a * (m - a)
-    level = (v, _nodes(n, ks), GrassmannianLabel(nodes, s, a, m), maximal)
-    return level, (tuple(uwin), u_length, u_support, u_descents)
+    if support != (1 << n) - 1 and descents == support:
+        rest = support & ~jbits
+        candidates = rest & -rest
+    else:
+        candidates = support & ~jbits & ~descents
+    values = [window[-1] - n, *window, *[x + n for x in window[:-1]]]
+    j0 = _j0_window(n, jbits)
+    while candidates:
+        bit = candidates & -candidates
+        candidates ^= bit
+        ks = (support | jbits) & ~bit
+        cut = _bp_cut(n, values, ks, j0)
+        if cut is None:
+            continue
+        vwin, v_support, uwin, u_length, u_support = cut
+        assert u_support | jbits == ks, "a BP split continues the chain"
+        v = AffinePermutation(n, tuple(vwin))
+        v.__dict__.update(support=_nodes(n, v_support), length=length - u_length)  # cached attributes
+        s = bit.bit_length() - 1
+        (nodes,) = _runs(n, v_support)
+        a, m = nodes.index(s) + 1, len(nodes) + 1
+        maximal = v_support != (1 << n) - 1 and v.length == a * (m - a)
+        level = (v, _nodes(n, ks), GrassmannianLabel(nodes, s, a, m), maximal)
+        return level, (tuple(uwin), u_length, u_support, descents & ks)
+    return None
 
 
 # The levels below the top one: the tower of u relative to J, for a u that

@@ -37,6 +37,7 @@ from .smoothness import (
     is_twisted_spiral,
 )
 from .staircase import (
+    ENUM_MAX,
     StaircaseDiagram,
     broken_staircases,
     cycle_decompose,
@@ -55,11 +56,15 @@ from .staircase import (
 from . import selftest as selftest_module
 
 ENUM_CAP_DEFAULT = 6
-ENUM_CAP_MAX = 8
+ENUM_CAP_MAX = ENUM_MAX["cycle"]
 SERIES_ORDER_MAX = 1000
 # Largest period of an element read by smooth and decompose, a bound on time;
 # README.md gives the measured times at this bound.
 ELEMENT_N_MAX = 200
+# Largest length of an element that decompose accepts: its output holds a
+# reduced word of every factor, l(w) letters in all, so time and output grow
+# with the length whatever the period.  README.md gives the measured time.
+DECOMPOSE_LENGTH_MAX = 100_000
 
 
 # ----------------------------------------------------------------------
@@ -146,6 +151,8 @@ def _cmd_smooth(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     w = _element(args)
+    if w.length > DECOMPOSE_LENGTH_MAX:
+        raise BudgetExceeded(f"decompose takes lengths up to {DECOMPOSE_LENGTH_MAX}, got {w.length}")
     js = frozenset(_parse_ints(args.J)) if args.J is not None else frozenset()
     decomposition = complete_bp_decomposition(w, js)
     smooth = is_smooth_partial(w, js)  # for J empty this is is_smooth(w)

@@ -486,8 +486,8 @@ def _json_ints(value: object, what: str) -> list[int]:
 
 def from_json(source: Union[str, dict]) -> StaircaseDiagram:
     """Parse the diagram JSON {"graph": {...}, "blocks": [...], "covers": [...]}.
-    n, every block entry and every cover index must be a JSON integer, and
-    n is at most DIAGRAM_N_MAX.
+    The diagram and its graph must be JSON objects, n, every block entry and
+    every cover index JSON integers, and n at most DIAGRAM_N_MAX.
 
     >>> from_json('{"graph": {"kind": "path", "n": 2}, "blocks": ["12"], "covers": []}')
     Traceback (most recent call last):
@@ -496,12 +496,17 @@ def from_json(source: Union[str, dict]) -> StaircaseDiagram:
     """
     try:
         obj = json.loads(source) if isinstance(source, str) else source
-        n = obj["graph"]["n"]
+        if not isinstance(obj, dict):
+            raise ValueError("the diagram must be a JSON object")
+        graph = obj["graph"]
+        if not isinstance(graph, dict):
+            raise ValueError("the diagram's 'graph' must be a JSON object")
+        n = graph["n"]
         if not is_json_int(n):
             raise ValueError(f"graph field 'n' must be an integer, got {json.dumps(n)}")
         if n > DIAGRAM_N_MAX:
             raise ValueError(f"graph field 'n' must be at most {DIAGRAM_N_MAX}, got {n}")
-        g = CoxGraph(obj["graph"]["kind"], n)
+        g = CoxGraph(graph["kind"], n)
         if not isinstance(obj["blocks"], list) or not isinstance(obj["covers"], list):
             raise ValueError("'blocks' and 'covers' must be lists")
         blocks = [frozenset(_json_ints(b, "a block")) for b in obj["blocks"]]

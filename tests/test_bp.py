@@ -31,8 +31,8 @@ from schubsmooth.affine import (
 from schubsmooth.bp import (
     BPDecomposition,
     GrassmannianLabel,
-    _find_grassmannian_bp,
     _level,
+    _search_level,
     complete_bp_decomposition,
     fibre_tower,
     is_smooth_partial,
@@ -74,7 +74,7 @@ def bits(nodes):
     return sum(1 << i for i in nodes)
 
 
-def test_find_grassmannian_bp_shape():
+def test_search_level_shape():
     # the level routine on every smooth element of period 3 relative to J
     # empty, and on two levels whose v has full support (window, J, K); the
     # second has no complete decomposition, so only its level is checked
@@ -84,17 +84,15 @@ def test_find_grassmannian_bp_shape():
     cases += [(from_window(3, window), J, K) for window, J, K in full]
     assert complete_bp_decomposition(from_window(3, (4, 8, -6)), {0}) is None
     for w, J, want in cases:
-        j0 = longest_element(w.n, J).window if J else None
-        hit = _find_grassmannian_bp(w.n, w.window, w.length, bits(w.support), bits(w.right_descents), bits(J), j0)
+        hit = _search_level(w.n, w.window, w.length, bits(w.support), bits(w.right_descents), bits(J))
         assert hit is not None
-        v, v_support, ks, uwin, u_length, u_support, u_descents = hit
+        (v, K, label, _), (uwin, u_length, u_support, u_descents) = hit
         u = from_window(w.n, uwin)
-        K = frozenset(i for i in range(w.n) if ks >> i & 1)
         assert v * u == w
         assert v.length + u.length == w.length
-        assert v_support == bits(v.support)
+        assert v.support == from_window(w.n, v.window).support
         assert (u_length, u_support, u_descents) == (u.length, bits(u.support), bits(u.right_descents))
-        assert len((w.support | set(J)) - K) == 1
+        assert (w.support | set(J)) - K == {label.missing}
         assert not (v.right_descents & K)
         assert u.support <= K
         if want is not None:
@@ -102,7 +100,7 @@ def test_find_grassmannian_bp_shape():
 
 
 def test_descent_lemma_and_lone_full_support_candidate():
-    # the two facts _find_grassmannian_bp rests on, for every J of ascents:
+    # the two facts _search_level rests on, for every J of ascents:
     # D_R(w w0(J)) \ J lies in D_R(w), and a BP split whose v has full
     # support is at the only candidate s
     pairs = splits = 0

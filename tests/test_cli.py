@@ -189,6 +189,30 @@ def test_decompose_relative_to_parabolic(capsys):
     assert code == 1 and "outside" in err
 
 
+def test_decompose_length_budget(capsys, monkeypatch):
+    # the README's extremal smooth window at the largest period decomposes
+    n = cli.ELEMENT_N_MAX
+    window = [3 - 2 * n, *range(n + 2, 3, -1)]
+    code, out, _ = run(capsys, "decompose", "--n", str(n), "--window", ",".join(map(str, window)))
+    doc = json.loads(out)
+    assert code == 0 and doc["smooth"] is True
+    assert sum(len(f["word"]) for f in doc["factors"]) == 20099
+    # at n = 2 the window (L + 1, 2 - L) has length L; one past the bound
+    # is refused before any decomposition
+    top = cli.DECOMPOSE_LENGTH_MAX
+    code, out, _ = run(capsys, "decompose", "--n", "2", "--window", f"{top + 1},{2 - top}")
+    assert code == 0 and sum(len(f["word"]) for f in json.loads(out)["factors"]) == top
+
+    def refuse(*args):
+        raise AssertionError("decomposed past the budget")
+
+    monkeypatch.setattr(cli, "complete_bp_decomposition", refuse)
+    for big in (top + 1, 2 * 10**9):
+        code, out, err = run(capsys, "decompose", "--n", "2", "--window", f"{big + 1},{2 - big}")
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        assert err == f"error: decompose takes lengths up to {top}, got {big}\n"
+
+
 def test_decompose_tsv_rows(capsys):
     code, out, _ = run(capsys, "--format", "tsv", "decompose", "--n", "4", "--window", "4,3,1,2")
     assert code == 0

@@ -798,6 +798,10 @@ def test_from_json_errors():
         from_json('{"graph": {"kind": "path", "n": 2}}')
     with pytest.raises(MalformedDiagram):
         from_json('{"graph": {"kind": "disc", "n": 2}, "blocks": [], "covers": []}')
+    # the diagram and its graph must be JSON objects
+    for source in ("[]", '"path"', '{"graph": [], "blocks": [], "covers": []}'):
+        with pytest.raises(MalformedDiagram, match="must be a JSON object"):
+            from_json(source)
     # n, block entries and cover indices must be JSON integers, in lists
     good = {"graph": {"kind": "path", "n": 2}, "blocks": [[1], [2]], "covers": [[0, 1]]}
     assert from_json(good) == StaircaseDiagram(path_graph(2), [[1], [2]], [(0, 1)])
