@@ -399,8 +399,9 @@ def coset_decompose(w: AffinePermutation, K: Iterable[int]) -> tuple[AffinePermu
     right descents in K, and length(w) = length(v) + length(u).  Each run
     a..a+m-1 of a proper K permutes the positions a..a+m, so v sorts the
     values of w on each such block, and u sends the block position holding
-    the j-th smallest value to the j-th position of the block.  When K holds
-    every node, v = e and u = w.
+    the j-th smallest value to the j-th position of the block: _coset_cut
+    gives the window of v and the block orders, _u_window the window of u
+    from those orders.  When K holds every node, v = e and u = w.
 
     >>> v, u = coset_decompose(from_word(4, [2, 1]), {1})
     >>> v.reduced_word, u.reduced_word
@@ -411,31 +412,60 @@ def coset_decompose(w: AffinePermutation, K: Iterable[int]) -> tuple[AffinePermu
     if ks == (1 << n) - 1:
         return identity(n), w
     values = [w.apply(p) for p in range(2 * n)]
-    vwin, uwin, _ = _coset_cut(n, values, ks)
-    return AffinePermutation(n, tuple(vwin)), AffinePermutation(n, tuple(uwin))
+    vwin, orders = _coset_cut(n, values, ks)
+    return AffinePermutation(n, tuple(vwin)), AffinePermutation(n, tuple(_u_window(n, orders)))
 
 
-def _coset_cut(
-    n: int, values: Sequence[int], ks: int
-) -> tuple[list[int], list[int], list[tuple[int, list[int]]]]:
+def _coset_cut(n: int, values: Sequence[int], ks: int) -> tuple[list[int], list[tuple[int, list[int]]]]:
     """coset_decompose on windows, from values[p] = w(p) for 0 <= p < 2n and
-    a proper K as a bitmask; the block a..a+m of each run a..a+m-1 that
-    _runs lists lies in 0..2n-2.  Returns the windows of v and u and, for
-    each run, the pair (a, order): order lists the block positions by
-    increasing value of w, so v(a + j) = w(order[j]) and u sends order[j]
-    to a + j, both read back into the window periodically."""
-    vwin, uwin, orders = list(values[1 : n + 1]), list(range(1, n + 1)), []
-    for run in _runs(n, ks):
-        a = run[0]
-        positions = range(a, a + len(run) + 1)
-        order = sorted(positions, key=values.__getitem__)
-        for target, p in zip(positions, order):
-            q, r = divmod(target - 1, n)
-            vwin[r] = values[p] - q * n
-            q, r = divmod(p - 1, n)
-            uwin[r] = target - q * n
+    a proper K as a bitmask: the window of v and, for each run a..a+m-1 of K
+    in increasing order of a, the pair (a, order), where order lists the
+    block positions a..a+m by increasing value of w, so that v(a + j) =
+    w(order[j]).  The runs are walked from the bits of run_starts, and each
+    block lies in 0..2n-2.  No window of u is made: _u_window reads it off
+    the orders."""
+    vals, orders = list(values), []
+    double = ks | ks << n  # a run that wraps past node n - 1 reads on here
+    starts = run_starts(n, ks)
+    while starts:
+        low = starts & -starts
+        starts ^= low
+        a = low.bit_length() - 1
+        rest = double >> a
+        block = range(a, a + (rest ^ (rest + 1)).bit_length())  # a..a+m for the m nodes of the run
+        order = sorted(block, key=values.__getitem__)
+        vals[a : block.stop] = [values[p] for p in order]
         orders.append((a, order))
-    return vwin, uwin, orders
+    return _fold_window(n, vals, orders), orders
+
+
+def _u_window(n: int, orders: Sequence[tuple[int, list[int]]]) -> list[int]:
+    """The window of the u of _coset_cut from its block orders: u sends
+    order[j] to a + j and fixes every position outside the blocks."""
+    vals = list(range(2 * n))
+    for a, order in orders:
+        for target, p in enumerate(order, start=a):
+            vals[p] = target
+    return _fold_window(n, vals, orders)
+
+
+def _fold_window(n: int, vals: list[int], orders: Sequence[tuple[int, list[int]]]) -> list[int]:
+    """The window of a map x from vals, a list over the positions 0..2n-1
+    that holds x(p) at every position p of the blocks of orders and at
+    every position of 1..n outside them.  The blocks are disjoint mod n, as
+    runs of K are parted by a node outside K; only the first can start at
+    position 0, and only the last can reach past position n, as only the
+    run through node 0 wraps.  Those positions are read back into the
+    window one period over, so no divmod is taken."""
+    win = vals[1 : n + 1]
+    if orders:
+        if not orders[0][0]:
+            win[n - 1] = vals[0] + n
+        a, order = orders[-1]
+        stop = a + len(order)
+        if stop > n + 1:
+            win[: stop - n - 1] = [x - n for x in vals[n + 1 : stop]]
+    return win
 
 
 # Lower intervals are walked only below elements of at most this length:

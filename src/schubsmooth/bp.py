@@ -34,29 +34,32 @@ The chain is walked on windows and bitmasks.  Each level receives from the
 one before the window of its element, the length, and the support and right
 descents as int bitmasks over the nodes, and K is a bitmask too.  For each
 candidate K, one sort of the values on each block of positions of K
-(affine module docstring) gives the windows of v and u and the block's
-positions listed by increasing value; D_L(u), S(u) and l(u) are read off
-those orders, and S(v) off prefix and suffix maxima of the window of v, the
-routine behind AffinePermutation.support.  So a candidate costs O(n) past
-the sorts and builds nothing.  Of the split kept, only v is built as a
-checked element, carrying its support and l(v) = l(w) - l(u); u passes on
-as a window with D_R(u) = D_R(w) ∩ K.
+(affine module docstring) gives the window of v and the block's positions
+listed by increasing value; D_L(u) is read off those orders, and S(v) off
+prefix and suffix maxima of the window of v, the routine behind
+AffinePermutation.support.  So a candidate costs O(n) past the sorts and
+builds nothing; the window of u, S(u) and l(u) are read off the orders only
+for the split kept, or for the composition with w0(J) that a general J may
+need.  Of the split kept, only v is built as a checked element, carrying
+its support and l(v) = l(w) - l(u); u passes on as a window with
+D_R(u) = D_R(w) ∩ K.
 
-The levels below the top one are shared between calls.  Once w = vu is
-split at the top, everything below is the tower of u relative to J: each
-level is found from the window of its element, its length, S, D_R and J
-alone, so the tail of the tower depends only on (u, J), whatever w was
-above it.  Each level below the top is therefore read through one bounded
+Every level is shared between calls.  A level is found from the window of
+its element, its length, S, D_R and J alone: the top level depends only on
+(w, J), and once w = vu is split at the top, everything below is the tower
+of u relative to J, which depends only on (u, J), whatever w was above it.
+Each level, the top one included, is therefore read through one bounded
 cache, _level, keyed by n, the window of the level's element with its
 length, support and right descents (functions of the window, passed along
 so that a miss need not recompute them) and the bitmask of J, and holding
 the level's v, K, label and maximality with the key of the next u, or None
 for a level with no Grassmannian BP split.  LEVEL_CACHE_SIZE bounds it; the
-window of w0(J) comes from a small cache keyed by (n, J).  An entry is one
-level, not the whole tail below it, so complete_bp_decomposition stays one
-loop over the levels and no recursion grows with the length of the chain.
-A cold decomposition builds one element per level, a repeat only the top
-v, and decompositions that meet in a u share its factors.
+window of w0(J) comes from a small cache keyed by (n, J).  An entry is one level, not the
+whole tail below it, so complete_bp_decomposition stays one loop over the
+levels and no recursion grows with the length of the chain.  A cold
+decomposition builds one element per level, a repeat builds none and
+shares every factor, and decompositions that meet in a u share its
+factors.
 
 Each level is a Grassmannian fibre Gr(a, m), labelled by s and the run
 S(v), and v is maximal exactly when S(v) is proper and l(v) = a(m - a),
@@ -82,6 +85,7 @@ from .affine import (
     _rises,
     _runs,
     _support_bits,
+    _u_window,
     longest_element,
 )
 from .errors import NotSmooth
@@ -112,31 +116,36 @@ def _bp_cut(
     max(order[0..j]) > a + j, as u⁻¹ maps a..a+j into itself otherwise
     (affine module docstring); l(u) is the number of pairs out of order.
 
-    The BP test S(v) ∩ K ⊆ D_L(u w0(J)) then runs on bitmasks.  D_L(u) lies
-    in D_L(u w0(J)), so u w0(J) is composed, on windows, only for the nodes
-    of S(v) ∩ K outside D_L(u); for J empty, u w0(J) = u and there are none
-    to find."""
-    vwin, uwin, orders = _coset_cut(n, values, ks)
-    descents = u_support = u_length = 0
+    The BP test S(v) ∩ K ⊆ D_L(u w0(J)) runs first, on bitmasks, and needs
+    only D_L(u).  D_L(u) lies in D_L(u w0(J)), so u w0(J) is composed, on
+    windows, only for the nodes of S(v) ∩ K outside D_L(u); for J empty,
+    u w0(J) = u and there are none to find.  The window of u is made only
+    for that composition or for a split that passes, and S(u) and l(u)
+    only for a split that passes."""
+    vwin, orders = _coset_cut(n, values, ks)
+    descents = 0
     for a, order in orders:
-        top = order[0]
         for j in range(len(order) - 1):
-            bit, after = 1 << (a + j) % n, order[j + 1]
-            if order[j] > after:
-                descents |= bit
-            if top > a + j:
-                u_support |= bit
-            if after > top:
-                top = after
-        u_length += _inversions(order)
+            if order[j] > order[j + 1]:
+                descents |= 1 << (a + j) % n
     v_support = _support_bits(vwin)
     rest = v_support & ks & ~descents
+    if rest and j0 is None:
+        return None
+    uwin = _u_window(n, orders)
     if rest:
-        if j0 is None:
-            return None
         inv = _inverse_window(_compose(n, uwin, j0))
         if any(_rises(inv, i) for i in _nodes(n, rest)):
             return None
+    u_support = u_length = 0
+    for a, order in orders:
+        top = order[0]
+        for j in range(len(order) - 1):
+            if top > a + j:
+                u_support |= 1 << (a + j) % n
+            if order[j + 1] > top:
+                top = order[j + 1]
+        u_length += _inversions(order)
     return vwin, v_support, uwin, u_length, u_support
 
 
@@ -189,10 +198,11 @@ class BPDecomposition:
         return all(self.maximal)
 
 
-# Levels kept by _level.  One pass of the queries benchmark (1,250
-# decompositions) meets 724 to 797 distinct levels below the top for seeds
-# 0, 1 and 7, and keeps them all; at 512 some are evicted and searched again
-LEVEL_CACHE_SIZE = 1024
+# Levels kept by _level, the top ones included.  One pass of the queries
+# benchmark (1,250 decompositions) meets 1,618 to 1,723 distinct levels for
+# seeds 0, 1 and 7, and keeps them all; at 1024 some are evicted and
+# searched again
+LEVEL_CACHE_SIZE = 2048
 
 
 @lru_cache(maxsize=256)  # a queries benchmark pass meets about 120 distinct (n, J)
@@ -268,8 +278,8 @@ def _search_level(
     return None
 
 
-# The levels below the top one: the tower of u relative to J, for a u that
-# many decompositions share (module docstring)
+# Every level of every tower, keyed by its element and J, which repeated
+# requests and decompositions that meet in a u share (module docstring)
 _level = lru_cache(maxsize=LEVEL_CACHE_SIZE)(_search_level)
 
 
@@ -279,26 +289,24 @@ def complete_bp_decomposition(
     """Walk the levels of the tower of w until the support is exhausted.
 
     Returns None when some level admits no Grassmannian BP decomposition.
-    Succeeds for every smooth w.  J is read once, as a bitmask.  The top
-    level is searched with _search_level, and every level below it is
-    read through the bounded cache _level, since the levels below the top
-    are those of the tower of u relative to J (module docstring).  Each
-    level hands the key of its u to the next; the last u is checked to be
-    the identity by its window.
+    Succeeds for every smooth w.  J is read once, as a bitmask.  Every
+    level, the top one included, is read through the bounded cache
+    _level, as each depends only on its element and J (module
+    docstring): the top level is keyed by w, and each level hands the key
+    of its u to the next.  The last u is checked to be the identity by its
+    window.
     """
     n, jbits = w.n, _require_quotient(w, J)
     window, length, support = w.window, w.length, _support_bits(w.window)
     descents = _mask(n, w.right_descents, "D_R(w)")
     top = _nodes(n, support | jbits)
     levels = []
-    search = _search_level
     while support & ~jbits:
-        hit = search(n, window, length, support, descents, jbits)
+        hit = _level(n, window, length, support, descents, jbits)
         if hit is None:
             return None
         level, (window, length, support, descents) = hit
         levels.append(level)
-        search = _level
     assert window == tuple(range(1, n + 1)), "W^J ∩ W_J is trivial"
     factors, chain, labels, flags = zip(*levels) if levels else ((), (), (), ())
     return BPDecomposition(w, factors, (top, *chain), flags, labels)

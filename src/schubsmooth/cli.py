@@ -92,7 +92,10 @@ def _element(args: argparse.Namespace) -> AffinePermutation:
         raise ValueError("supply exactly one of --window, --word, --element")
     if args.element is not None:
         with open(args.element, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise ValueError("element file JSON is nested too deeply") from None
         if not isinstance(doc, dict) or "n" not in doc:
             raise ValueError("element file must hold a JSON object with an 'n' field")
         n = doc["n"]

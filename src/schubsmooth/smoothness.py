@@ -78,14 +78,19 @@ from .errors import BudgetExceeded
 
 def is_smooth(w: AffinePermutation) -> bool:
     """Smoothness of the Schubert variety of w: avoid 3412 and 4231
-    (_avoids_3412_4231 on the window).
+    (_avoids_3412_4231 on the window).  The verdict is kept with w, as
+    its cached attributes are, so a second question about the same
+    element, such as is_rationally_smooth after is_smooth, scans it once.
 
     >>> is_smooth(from_word(3, [0, 1, 2]))
     True
     >>> is_smooth(from_word(2, [1, 0, 1]))
     False
     """
-    return _avoids_3412_4231(w.n, w.window)
+    verdict = w.__dict__.get("_smooth")
+    if verdict is None:
+        verdict = w.__dict__["_smooth"] = _avoids_3412_4231(w.n, w.window)
+    return verdict
 
 
 def _avoids_3412_4231(n: int, win: tuple[int, ...]) -> bool:

@@ -515,6 +515,8 @@ def from_json(source: Union[str, dict]) -> StaircaseDiagram:
             raise ValueError("a cover must be a pair of block indices")
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDiagram(f"bad diagram JSON: {exc}") from exc
+    except RecursionError:
+        raise MalformedDiagram("bad diagram JSON: nested too deeply") from None
     return StaircaseDiagram(g, blocks, covers)
 
 

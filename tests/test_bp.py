@@ -21,6 +21,7 @@ from oracles import (
 from schubsmooth.affine import (
     AffinePermutation,
     _compose,
+    _u_window,
     coset_decompose,
     from_window,
     from_word,
@@ -31,6 +32,7 @@ from schubsmooth.affine import (
 from schubsmooth.bp import (
     BPDecomposition,
     GrassmannianLabel,
+    _bp_cut,
     _level,
     _search_level,
     complete_bp_decomposition,
@@ -135,12 +137,12 @@ def test_complete_decomposition_matches_element_search_oracle():
 
 
 def test_level_cache_keeps_every_decomposition(monkeypatch):
-    # the levels below the top are read through one bounded cache: a
-    # decomposition from a cold cache, one from a cache warmed by all the
-    # pairs before it, and the element search agree, on every smooth
-    # element with n <= 5 relative to J empty and to a random set of
-    # ascents, and on ball(4, 7), some of whose levels below the top fail
-    # and are cached as None
+    # every level, the top one included, is read through one bounded
+    # cache: a decomposition from a cold cache, one from a cache warmed by
+    # all the pairs before it, and the element search agree, on every
+    # smooth element with n <= 5 relative to J empty and to a random set
+    # of ascents, and on ball(4, 7), some of whose levels fail and are
+    # cached as None; every failed decomposition ends on such a level
     rng = random.Random(4)
     pool = [w for n in range(2, 6) for w in enumerate_smooth(n)] + list(ball(4, 7))
     pool.sort(key=lambda w: (w.n, w.length, w.window))
@@ -168,15 +170,15 @@ def test_level_cache_keeps_every_decomposition(monkeypatch):
     for (w, J), c, d in zip(pairs, cold, warm):
         assert c == d, (w.window, sorted(J))
         assert (None if d is None else (d.factors, d.chain, d.maximal)) == bp_decomposition_by_elements(w, J)
-    assert (len(pairs), warm.count(None), len(failed), len(set(failed))) == (2790, 1325, 302, 199)
+    assert (len(pairs), warm.count(None), len(failed), len(set(failed))) == (2790, 1325, 1325, 1157)
 
 
 def test_decomposition_builds_one_element_per_level(monkeypatch):
     # rejected candidates and every u stay windows: from a cold level cache
-    # each level builds its v alone; a repeat searches only the top level
-    # again, builds no element below it and shares the cached factors; and
-    # the support and length a v carries from the split are those of a
-    # fresh element with the same window
+    # each level builds its v alone; a repeat reads every level, the top
+    # one included, from the cache, builds no element and shares every
+    # factor; and the support and length a v carries from the split are
+    # those of a fresh element with the same window
     pool = [AffinePermutation(n, w.window) for n in range(2, 6) for w in enumerate_smooth(n)]
     built = []
     check = AffinePermutation.__post_init__
@@ -194,8 +196,8 @@ def test_decomposition_builds_one_element_per_level(monkeypatch):
         counts.append((len(built) - before, len(cold.factors)))
         before = len(built)
         warm = complete_bp_decomposition(w)
-        assert len(built) - before == min(len(cold.factors), 1), w.window
-        assert warm == cold and all(x is y for x, y in zip(warm.factors[1:], cold.factors[1:])), w.window
+        assert len(built) == before, w.window
+        assert warm == cold and all(x is y for x, y in zip(warm.factors, cold.factors)), w.window
     monkeypatch.undo()
     assert len(pool) == 1100
     assert all(count == depth for count, depth in counts)
@@ -219,6 +221,36 @@ def test_j_empty_composes_no_window(monkeypatch):
     for w in ball(4, 7):
         complete_bp_decomposition(w)
     assert composed == []
+
+
+def test_u_window_only_for_kept_levels(monkeypatch):
+    # relative to J empty, a rejected candidate needs D_L(u) alone, read off
+    # the block orders: from a cold level cache the window of u is made
+    # once per level kept, although more candidates than that are cut
+    made, cuts = [], []
+
+    def counting_u_window(*args):
+        made.append(args)
+        return _u_window(*args)
+
+    def counting_bp_cut(*args):
+        cuts.append(args)
+        return _bp_cut(*args)
+
+    monkeypatch.setattr("schubsmooth.bp._u_window", counting_u_window)
+    monkeypatch.setattr("schubsmooth.bp._bp_cut", counting_bp_cut)
+    pool = [w for n in range(2, 6) for w in enumerate_smooth(n)] + list(ball(4, 7))
+    levels = rejected = 0
+    for w in pool:
+        _level.cache_clear()
+        del made[:], cuts[:]
+        d = complete_bp_decomposition(w)
+        if d is not None:
+            assert len(made) == len(d.factors), w.window
+            levels += len(d.factors)
+            rejected += len(cuts) - len(d.factors)
+    _level.cache_clear()
+    assert levels > 0 and rejected > 0  # 5,300 and 597
 
 
 def test_complete_decomposition_of_smooth_elements():

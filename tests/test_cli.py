@@ -429,6 +429,18 @@ def test_staircase_rejects_a_huge_graph(capsys, tmp_path):
         assert "at most 1000" in err
 
 
+def test_deeply_nested_json_exits_with_one_line(capsys, tmp_path):
+    # the JSON decoder recurses once per bracket, so 200,000 of them end
+    # in a RecursionError, which reaches neither stderr nor the caller
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    for argv in (("smooth", "--element", str(deep)), ("staircase", "validate", "--file", str(deep))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "nested too deeply" in err
+
+
 def test_staircase_render(capsys, diagram_files):
     code, out, _ = run(capsys, "--format", "text", "staircase", "render", "--file", str(diagram_files["valid"]))
     assert code == 0

@@ -41,6 +41,7 @@ from schubsmooth.affine import (
 from schubsmooth.errors import BudgetExceeded
 from schubsmooth.smoothness import (
     SpiralSpec,
+    _avoids_3412_4231,
     enumerate_smooth,
     is_rationally_smooth,
     is_smooth,
@@ -86,6 +87,35 @@ def test_is_smooth_matches_generic_search():
     for w in elements:
         expected = not contains_pattern(w, PATTERN_3412) and not contains_pattern(w, PATTERN_4231)
         assert is_smooth(w) == expected, w.window
+
+
+def test_smooth_verdict_is_scanned_once(monkeypatch):
+    # is_smooth keeps its verdict with the element, so is_rationally_smooth
+    # after it scans the window no second time
+    scans = []
+    scan = _avoids_3412_4231
+
+    def counted(n, win):
+        scans.append(win)
+        return scan(n, win)
+
+    monkeypatch.setattr("schubsmooth.smoothness._avoids_3412_4231", counted)
+    spiral = twisted_spiral(SpiralSpec(0, 2, "x"), 3)
+    for w in (from_window(4, [3, 4, 1, 2]), from_word(2, [0, 1, 0]), from_word(3, [1, 2]), spiral):
+        scans.clear()
+        is_smooth(w)
+        is_rationally_smooth(w)
+        assert scans == [w.window]
+
+
+def test_kept_verdict_matches_a_fresh_scan():
+    # the verdict kept with an element is what a new scan of its window,
+    # a fresh element with that window and the pattern oracle all give
+    for w in ball(3, 9) | ball(4, 8):
+        kept = is_smooth(w)
+        assert is_smooth(w) is kept and vars(w)["_smooth"] is kept
+        expected = all(pattern_occurrence(w, p) is None for p in (PATTERN_3412, PATTERN_4231))
+        assert kept == _avoids_3412_4231(w.n, w.window) == is_smooth(from_window(w.n, w.window)) == expected
 
 
 def test_occurrences_are_witnesses():
